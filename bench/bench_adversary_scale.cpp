@@ -114,11 +114,11 @@ int main(int argc, char** argv) {
       {"counter", "full_max_n", "n_list", "out", "repeats", "sample", "schedule_samples", "seed", "threads", "threads_list"});
   const CounterKind kind =
       counter_kind_from_string(flags.get_string("counter", "combining"));
-  const auto n_list = parse_int_list(flags.get_string("n_list", "64,256,1024"));
+  const auto n_list = parse_int_list(flags, "n_list", "64,256,1024");
   // 0 in threads_list = auto via the shared knob (--threads, then the
   // DCNT_THREADS env, else all hardware threads).
   const auto threads_list =
-      parse_int_list(flags.get_string("threads_list", "1,2,4,0"));
+      parse_int_list(flags, "threads_list", "1,2,4,0");
   const std::int64_t full_max_n = flags.get_int("full_max_n", 256);
   const auto sample = static_cast<std::size_t>(flags.get_int("sample", 64));
   const auto schedule_samples =

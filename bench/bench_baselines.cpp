@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
       argc, argv,
       "CMP: bottleneck landscape across counter implementations",
       {"batch", "seed", "sizes"});
-  const auto sizes = parse_int_list(flags.get_string("sizes", "64,256,1024"));
+  const auto sizes = parse_int_list(flags, "sizes", "64,256,1024");
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 5));
   const auto batch = static_cast<std::size_t>(flags.get_int("batch", 32));
 

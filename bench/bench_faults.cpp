@@ -90,12 +90,12 @@ int main(int argc, char** argv) {
       argc, argv,
       "FAULT: exact counting under message loss and crashes, and its message price",
       {"crash_drop", "crash_k_list", "crash_list", "drops", "k_list", "ops_factor", "out", "seed"});
-  const auto k_list = parse_int_list(flags.get_string("k_list", "2,3,4"));
+  const auto k_list = parse_int_list(flags, "k_list", "2,3,4");
   const auto crash_k_list =
-      parse_int_list(flags.get_string("crash_k_list", "2,3"));
+      parse_int_list(flags, "crash_k_list", "2,3");
   const auto drops =
-      parse_double_list(flags.get_string("drops", "0,0.02,0.05,0.1,0.2"));
-  const auto crash_list = parse_int_list(flags.get_string("crash_list", "0,1,2"));
+      parse_double_list(flags, "drops", "0,0.02,0.05,0.1,0.2");
+  const auto crash_list = parse_int_list(flags, "crash_list", "0,1,2");
   const double crash_drop = flags.get_double("crash_drop", 0.01);
   const std::int64_t ops_factor = flags.get_int("ops_factor", 1);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 97));

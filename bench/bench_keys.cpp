@@ -177,11 +177,11 @@ int main(int argc, char** argv) {
   const std::string counter = flags.get_string("counter", "central");
   const std::int64_t n = flags.get_int("n", quick ? 8 : 16);
   auto keys_list =
-      parse_int_list(flags.get_string("keys_list", quick ? "1,64" : "1,1000,100000"));
+      parse_int_list(flags, "keys_list", quick ? "1,64" : "1,1000,100000");
   auto key_skews =
-      parse_double_list(flags.get_string("key_skews", quick ? "0.99" : "0,0.99"));
+      parse_double_list(flags, "key_skews", quick ? "0.99" : "0,0.99");
   auto workers_list =
-      parse_int_list(flags.get_string("workers_list", quick ? "2" : "1,4"));
+      parse_int_list(flags, "workers_list", quick ? "2" : "1,4");
   const std::int64_t ops_flag = flags.get_int("ops", 0);
   const auto key_capacity =
       static_cast<std::size_t>(flags.get_int("key_capacity", 0));

@@ -190,11 +190,11 @@ int main(int argc, char** argv) {
   const auto concurrency =
       static_cast<std::size_t>(flags.get_int("concurrency", 16));
   const double drop = flags.get_double("drop", 0.05);
-  const auto pipelines = parse_int_list(flags.get_string("pipelines", "1,8"));
+  const auto pipelines = parse_int_list(flags, "pipelines", "1,8");
   // tcp-conc window sweep (empty disables): F outstanding ops per slot,
   // linearizability checked over the real socket history.
   const auto inflight_list =
-      parse_int_list(flags.get_string("inflight_list", "1,8,64,256"));
+      parse_int_list(flags, "inflight_list", "1,8,64,256");
   const auto loops = static_cast<std::uint32_t>(flags.get_int("loops", 1));
   // Default 0 = inline drive (the event-loop thread runs the protocol
   // shard itself): the fastest topology wherever nodes outnumber cores,
@@ -208,7 +208,7 @@ int main(int argc, char** argv) {
   // Open-loop cluster rows (--rates non-empty): the controller paces
   // Start frames on the deterministic arrival timeline and stamps
   // latency from scheduled arrival — queueing in the mesh counts.
-  const auto rates = parse_double_list(flags.get_string("rates", ""));
+  const auto rates = parse_double_list(flags, "rates", "");
   const std::string shape = flags.get_string("shape", "constant");
   const double period = flags.get_double("period", 1.0);
   const double amplitude = flags.get_double("amplitude", 0.5);

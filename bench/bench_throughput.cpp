@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
   const auto counters = parse_string_list(flags.get_string(
       "counters", quick ? "tree,central" : "tree,central,combining,diffracting"));
   const auto workers_list = parse_int_list(
-      flags.get_string("workers_list", quick ? "1,2" : "1,2,4,8"));
+      flags, "workers_list", quick ? "1,2" : "1,2,4,8");
   const std::int64_t n = flags.get_int("n", quick ? 8 : 16);
   const std::int64_t ops_factor = flags.get_int("ops_factor", quick ? 2 : 16);
   const auto concurrency =
@@ -129,7 +129,7 @@ int main(int argc, char** argv) {
   // constant and burst shapes, SLO accounting, and the HDR recorder
   // (exact_cap forced under the op count) — in well under a second.
   const auto rates = parse_double_list(
-      flags.get_string("rates", quick ? "20000" : ""));
+      flags, "rates", quick ? "20000" : "");
   // Open rows may target a subset of the closed-sweep counters: the
   // over-saturation series needs a counter whose per-outstanding-op
   // cost is flat (central), while the closed sweep keeps them all.
@@ -138,7 +138,7 @@ int main(int argc, char** argv) {
           "counters", quick ? "tree,central"
                             : "tree,central,combining,diffracting")));
   const auto open_ops_list = parse_int_list(
-      flags.get_string("open_ops_list", quick ? "4000" : "1000000"));
+      flags, "open_ops_list", quick ? "4000" : "1000000");
   const auto open_workers =
       static_cast<std::size_t>(flags.get_int("open_workers", 0));
   const std::string shape = flags.get_string("shape", "constant");
@@ -154,8 +154,8 @@ int main(int argc, char** argv) {
                   dcnt::traffic::TailRecorder::kDefaultExactCap)));
   // CONC sweep: in-flight depths per closed-loop slot. Empty disables
   // the section.
-  const auto inflight_list = parse_int_list(flags.get_string(
-      "inflight_list", quick ? "1,8" : "1,8,64,256"));
+  const auto inflight_list =
+      parse_int_list(flags, "inflight_list", quick ? "1,8" : "1,8,64,256");
   const auto conc_counters = parse_string_list(flags.get_string(
       "conc_counters", quick ? "tree,central,diffracting"
                              : "tree,central,combining,diffracting"));
@@ -168,9 +168,9 @@ int main(int argc, char** argv) {
   const auto shm_counters = parse_string_list(flags.get_string(
       "shm_counters", "shm-atomic,shm-flat,shm-funnel,shm-sharded"));
   const auto shm_threads_list = parse_int_list(
-      flags.get_string("shm_threads_list", quick ? "1,2" : "1,2,4"));
+      flags, "shm_threads_list", quick ? "1,2" : "1,2,4");
   const auto shm_inflight_list =
-      parse_int_list(flags.get_string("shm_inflight_list", "1,64"));
+      parse_int_list(flags, "shm_inflight_list", "1,64");
   const auto shm_placements = parse_string_list(
       flags.get_string("shm_placements", "none,compact"));
   const auto shm_msg_counters = parse_string_list(flags.get_string(

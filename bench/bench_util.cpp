@@ -22,6 +22,14 @@ void print_usage(std::FILE* out, const char* binary,
   std::fprintf(out, "  --help\n");
 }
 
+std::vector<std::string> split_list(const std::string& text) {
+  std::vector<std::string> out;
+  std::stringstream ss(text);
+  std::string item;
+  while (std::getline(ss, item, ',')) out.push_back(item);
+  return out;
+}
+
 }  // namespace
 
 Flags parse_bench_flags(int argc, char** argv, const std::string& description,
@@ -45,29 +53,29 @@ Flags parse_bench_flags(int argc, char** argv, const std::string& description,
   return flags;
 }
 
-std::vector<std::int64_t> parse_int_list(const std::string& text) {
+std::vector<std::int64_t> parse_int_list(const Flags& flags,
+                                         const std::string& key,
+                                         const std::string& fallback) {
   std::vector<std::int64_t> out;
-  std::stringstream ss(text);
-  std::string item;
-  while (std::getline(ss, item, ',')) out.push_back(std::stoll(item));
+  for (const std::string& item : split_list(flags.get_string(key, fallback))) {
+    out.push_back(parse_int_value(key, item));
+  }
   return out;
 }
 
-std::vector<double> parse_double_list(const std::string& text) {
+std::vector<double> parse_double_list(const Flags& flags,
+                                      const std::string& key,
+                                      const std::string& fallback) {
   std::vector<double> out;
-  std::stringstream ss(text);
-  std::string item;
-  while (std::getline(ss, item, ',')) out.push_back(std::stod(item));
+  for (const std::string& item : split_list(flags.get_string(key, fallback))) {
+    out.push_back(parse_double_value(key, item));
+  }
   return out;
 }
 
 std::vector<std::string> parse_string_list(const std::string& text) {
-  std::vector<std::string> out;
-  std::stringstream ss(text);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
+  std::vector<std::string> out = split_list(text);
+  std::erase(out, std::string());
   return out;
 }
 

@@ -31,11 +31,18 @@ namespace dcnt {
 Flags parse_bench_flags(int argc, char** argv, const std::string& description,
                         const std::vector<std::string>& known);
 
-/// "2,3,4" -> {2, 3, 4}. Empty input yields an empty list.
-std::vector<std::int64_t> parse_int_list(const std::string& text);
+/// The comma list of flag `--key` (or `fallback` when absent):
+/// "2,3,4" -> {2, 3, 4}; an empty value yields an empty list. A
+/// malformed item (`--k_list=2,x`, `--k_list=2,,3`) prints the flag
+/// name and exits 2, as a malformed scalar value does.
+std::vector<std::int64_t> parse_int_list(const Flags& flags,
+                                         const std::string& key,
+                                         const std::string& fallback);
 
-/// "0,0.05,0.2" -> {0.0, 0.05, 0.2}.
-std::vector<double> parse_double_list(const std::string& text);
+/// As parse_int_list: "0,0.05,0.2" -> {0.0, 0.05, 0.2}.
+std::vector<double> parse_double_list(const Flags& flags,
+                                      const std::string& key,
+                                      const std::string& fallback);
 
 /// "tree,central" -> {"tree", "central"}.
 std::vector<std::string> parse_string_list(const std::string& text);

@@ -204,7 +204,7 @@ KeyedThroughputResult run_keyed_throughput(
     const auto v = rt.result(static_cast<OpId>(i));
     DCNT_CHECK_MSG(v.has_value(), "operation never completed");
     by_key[run.key_of_op.at(i)].push_back(*v);
-    ++ops_by_key[run.key_of_op.at(i)];
+    if (i >= options.warmup) ++ops_by_key[run.key_of_op.at(i)];
   }
   out.base.values_ok = true;
   for (auto& [key, values] : by_key) {

@@ -174,7 +174,8 @@ struct KeyedThroughputResult {
   /// exact permutation of 0..ops_k-1 (also DCNT_CHECKed).
   ThroughputResult base;
   std::size_t keys{0};
-  /// Key with the most operations (ties to the smallest key id).
+  /// Key with the most measured (post-warmup) operations (ties to the
+  /// smallest key id); hot_key_ops counts those operations.
   KeyId hot_key{kNoKey};
   std::int64_t hot_key_ops{0};
   /// max_p m_p restricted to the hot key's traffic — the paper's

@@ -1,7 +1,6 @@
 #include "service/key_directory.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <mutex>
 
 #include "support/check.hpp"
@@ -31,29 +30,7 @@ void KeyDirectory::ensure(KeyId key) {
   std::unique_lock<std::shared_mutex> lock(mu_);
   if (entries_.find(key) != entries_.end()) return;
   if (options_.capacity > 0) {
-    while (entries_.size() >= options_.capacity) {
-      // Retire the least-recently-touched instance. Safe at any moment
-      // for evictable protocols: their cross-op state is exactly the
-      // durable value, so in-flight messages for the evicted key simply
-      // rehydrate it on delivery and proceed.
-      auto victim = entries_.end();
-      std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
-      for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-        const auto stamp = it->second->last_use.load(std::memory_order_relaxed);
-        if (stamp < oldest || (stamp == oldest && (victim == entries_.end() ||
-                                                   it->first < victim->first))) {
-          oldest = stamp;
-          victim = it;
-        }
-      }
-      DCNT_CHECK(victim != entries_.end());
-      durable_[victim->first] =
-          Durable{victim->second->inner->service_value(),
-                  victim->second->completed.load(std::memory_order_relaxed)};
-      log_.push_back({LogRecord::Kind::kEvict, victim->first});
-      ++evicts_;
-      entries_.erase(victim);
-    }
+    while (entries_.size() >= options_.capacity) evict_lru();
   }
   auto entry = std::make_unique<Entry>();
   entry->inner = factory_();
@@ -71,7 +48,37 @@ void KeyDirectory::ensure(KeyId key) {
     ++rehydrates_;
   }
   touch(*entry);
+  if (options_.capacity > 0) {
+    lru_.push({entry->last_use.load(std::memory_order_relaxed), key});
+  }
   entries_.emplace(key, std::move(entry));
+}
+
+// Retire the least-recently-touched instance (unique lock held). Safe
+// at any moment for evictable protocols: their cross-op state is
+// exactly the durable value, so in-flight messages for the evicted key
+// simply rehydrate it on delivery and proceed.
+void KeyDirectory::evict_lru() {
+  for (;;) {
+    DCNT_CHECK(!lru_.empty());
+    const Stamp top = lru_.top();
+    lru_.pop();
+    const auto victim = entries_.find(top.key);
+    DCNT_CHECK(victim != entries_.end());
+    const auto stamp = victim->second->last_use.load(std::memory_order_relaxed);
+    if (stamp != top.stamp) {
+      // Touched since this record was written: revalidate and retry.
+      lru_.push({stamp, top.key});
+      continue;
+    }
+    durable_[victim->first] =
+        Durable{victim->second->inner->service_value(),
+                victim->second->completed.load(std::memory_order_relaxed)};
+    log_.push_back({LogRecord::Kind::kEvict, victim->first});
+    ++evicts_;
+    entries_.erase(victim);
+    return;
+  }
 }
 
 void KeyDirectory::on_shard_start(std::size_t workers) {
@@ -148,6 +155,7 @@ void KeyDirectory::copy_state_from(const KeyDirectory& other) {
     entries_.emplace(key, std::move(copy));
   }
   durable_ = other.durable_;
+  lru_ = other.lru_;
   log_ = other.log_;
   workers_ = other.workers_;
   tick_.store(other.tick_.load(std::memory_order_relaxed),

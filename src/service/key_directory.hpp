@@ -14,7 +14,22 @@
 // least-recently-touched instance is retired at creation pressure — its
 // value parks in a durable map — and is rebuilt from that value on the
 // next touch. Evictions and rehydrations are appended to an ordered log
-// so tests can pin the exact sequence under deterministic schedules.
+// so tests can pin the exact sequence under sequential schedules.
+//
+// The LRU index (kept only when `capacity` is set) is a min-heap of
+// (stamp, key) records, one per live entry, read and written only
+// under the unique lock; the hit path never touches it (touch() is one
+// relaxed store of last_use). To pick a victim, pop the smallest
+// record: if the entry's last_use still equals the popped stamp, that
+// entry is the victim; otherwise push the record back with the current
+// stamp and pop again. Exact: stamps are unique and every record's
+// stamp is at most its entry's last_use (a record is written under the
+// unique lock from the entry's stamp then, and every later touch draws
+// a larger tick), so the first record that still matches carries the
+// global minimum last_use — the least-recently-touched entry. Cost:
+// O(log live) per eviction plus one O(log live) re-push per entry
+// touched since its record was written, so a miss at capacity no
+// longer scans every live entry.
 //
 // Concurrency: one std::shared_mutex. Dispatch into a live instance
 // holds the lock shared for the duration of the inner handler (the
@@ -29,6 +44,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <queue>
 #include <shared_mutex>
 #include <unordered_map>
 #include <utility>
@@ -136,7 +152,16 @@ class KeyDirectory {
     std::int64_t completed{0};
   };
 
+  /// LRU index record: an entry's last_use when the record was
+  /// (re)written. Ordered by stamp only; stamps are unique.
+  struct Stamp {
+    std::uint64_t stamp;
+    KeyId key;
+    bool operator>(const Stamp& o) const { return stamp > o.stamp; }
+  };
+
   void ensure(KeyId key);
+  void evict_lru();
   void touch(Entry& e) {
     e.last_use.store(tick_.fetch_add(1, std::memory_order_relaxed) + 1,
                      std::memory_order_relaxed);
@@ -151,6 +176,9 @@ class KeyDirectory {
   mutable std::shared_mutex mu_;
   std::unordered_map<KeyId, std::unique_ptr<Entry>> entries_;
   std::unordered_map<KeyId, Durable> durable_;
+  /// Min-heap on stamp, one record per live entry when `capacity` is
+  /// set, empty otherwise (unique lock only).
+  std::priority_queue<Stamp, std::vector<Stamp>, std::greater<>> lru_;
   std::vector<LogRecord> log_;
   std::atomic<std::uint64_t> tick_{0};
   std::atomic<std::int64_t> hits_{0};

@@ -1,8 +1,10 @@
 #include "support/flags.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <system_error>
 
 #include "support/check.hpp"
 #include "support/thread_pool.hpp"
@@ -40,19 +42,46 @@ std::int64_t Flags::get_int(const std::string& key,
                             std::int64_t fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  return parse_int_value(key, it->second);
 }
 
 double Flags::get_double(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  return std::strtod(it->second.c_str(), nullptr);
+  return parse_double_value(key, it->second);
 }
 
 bool Flags::get_bool(const std::string& key, bool fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
   return it->second == "true" || it->second == "1" || it->second == "yes";
+}
+
+namespace {
+
+template <typename T>
+T parse_value(const std::string& key, const std::string& text,
+              const char* what) {
+  T value{};
+  const char* first = text.data();
+  const char* last = first + text.size();
+  const auto [end, ec] = std::from_chars(first, last, value);
+  if (ec != std::errc() || end != last) {
+    std::fprintf(stderr, "invalid value for --%s: '%s' (expected %s)\n",
+                 key.c_str(), text.c_str(), what);
+    std::exit(2);
+  }
+  return value;
+}
+
+}  // namespace
+
+std::int64_t parse_int_value(const std::string& key, const std::string& text) {
+  return parse_value<std::int64_t>(key, text, "an integer");
+}
+
+double parse_double_value(const std::string& key, const std::string& text) {
+  return parse_value<double>(key, text, "a number");
 }
 
 std::size_t threads_from_flags(const Flags& flags, const std::string& key) {

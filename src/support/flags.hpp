@@ -19,6 +19,8 @@ class Flags {
 
   std::string get_string(const std::string& key,
                          const std::string& fallback) const;
+  /// Numeric getters parse the whole value; a malformed one (`--ops=abc`,
+  /// `--ops=12x`, an empty value) prints the flag name and exits 2.
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
   double get_double(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;
@@ -28,6 +30,12 @@ class Flags {
  private:
   std::map<std::string, std::string> values_;
 };
+
+/// Parses all of `text` as a base-10 integer (resp. a double), the
+/// value of flag `--key`; anything else prints the flag name and the
+/// value to stderr and exits 2, as an unknown flag does.
+std::int64_t parse_int_value(const std::string& key, const std::string& text);
+double parse_double_value(const std::string& key, const std::string& text);
 
 /// The process-wide thread-count knob, shared by every binary that
 /// spins up workers (thread pools, the threaded runtime, benches):

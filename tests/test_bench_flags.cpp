@@ -5,6 +5,8 @@
 // experiment, and valid flags parse through unchanged.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -84,10 +86,13 @@ TEST(BenchFlags, KeysBenchFlagsParseThrough) {
              "--batch=16", "--key_capacity=64", "--quick"});
   const Flags flags =
       parse_bench_flags(args.argc(), args.argv(), "keys bench", known);
-  EXPECT_EQ(parse_int_list(flags.get_string("keys_list", "")),
+  EXPECT_EQ(parse_int_list(flags, "keys_list", ""),
             (std::vector<std::int64_t>{1, 1000, 100000}));
-  EXPECT_EQ(parse_double_list(flags.get_string("key_skews", "")),
+  EXPECT_EQ(parse_double_list(flags, "key_skews", ""),
             (std::vector<double>{0.0, 0.99}));
+  EXPECT_EQ(parse_int_list(flags, "workers_list", "1,4"),
+            (std::vector<std::int64_t>{1, 4}));
+  EXPECT_TRUE(parse_int_list(flags, "ops_list", "").empty());
   EXPECT_EQ(flags.get_int("batch", 1), 16);
   EXPECT_EQ(flags.get_int("key_capacity", 0), 64);
   EXPECT_TRUE(flags.get_bool("quick", false));
@@ -100,6 +105,70 @@ TEST(BenchFlagsDeath, KeysBenchRejectsTypodKeyFlag) {
   Argv args({"bench_keys", "--key_skew=0.99"});
   EXPECT_EXIT(parse_bench_flags(args.argc(), args.argv(), "keys bench", known),
               testing::ExitedWithCode(2), "unknown flag --key_skew");
+}
+
+// Flag values parse whole or not at all: every numeric getter and list
+// parser accepts exact numbers (signs, exponents, boundary values)...
+TEST(BenchFlags, NumericValuesParseExactly) {
+  const std::vector<std::string> known = {"a", "b", "c", "d", "e", "f"};
+  Argv args({"bench_x", "--a=-7", "--b=9223372036854775807", "--c=1e-3",
+             "--d=-2.5,0,1e6", "--e=0,-1,2", "--f=inf"});
+  const Flags flags = parse_bench_flags(args.argc(), args.argv(), "b", known);
+  EXPECT_EQ(flags.get_int("a", 0), -7);
+  EXPECT_EQ(flags.get_int("b", 0), INT64_MAX);
+  EXPECT_DOUBLE_EQ(flags.get_double("c", 0.0), 1e-3);
+  EXPECT_EQ(parse_double_list(flags, "d", ""),
+            (std::vector<double>{-2.5, 0.0, 1e6}));
+  EXPECT_EQ(parse_int_list(flags, "e", ""),
+            (std::vector<std::int64_t>{0, -1, 2}));
+  EXPECT_EQ(flags.get_double("f", 0.0), HUGE_VAL);
+}
+
+// ...and a malformed value — garbage, trailing junk, an empty item, an
+// out-of-range integer, a bare flag read as a number — exits 2 naming
+// the flag, like an unknown flag, instead of reading as 0 or dying on
+// an uncaught exception.
+Flags parse_one(const std::string& arg) {
+  static const std::vector<std::string> known = {"ops", "rate", "k_list",
+                                                 "drops"};
+  Argv args({"bench_x", arg});
+  return parse_bench_flags(args.argc(), args.argv(), "b", known);
+}
+
+TEST(BenchFlagsDeath, MalformedIntExitsTwoAndNamesFlag) {
+  EXPECT_EXIT(parse_one("--ops=abc").get_int("ops", 1),
+              testing::ExitedWithCode(2), "invalid value for --ops: 'abc'");
+  EXPECT_EXIT(parse_one("--ops=12x").get_int("ops", 1),
+              testing::ExitedWithCode(2), "--ops");
+  EXPECT_EXIT(parse_one("--ops=").get_int("ops", 1),
+              testing::ExitedWithCode(2), "--ops");
+  EXPECT_EXIT(parse_one("--ops=1.5").get_int("ops", 1),
+              testing::ExitedWithCode(2), "--ops");
+  EXPECT_EXIT(parse_one("--ops=9223372036854775808").get_int("ops", 1),
+              testing::ExitedWithCode(2), "--ops");
+  EXPECT_EXIT(parse_one("--ops").get_int("ops", 1),
+              testing::ExitedWithCode(2), "invalid value for --ops: 'true'");
+}
+
+TEST(BenchFlagsDeath, MalformedDoubleExitsTwoAndNamesFlag) {
+  EXPECT_EXIT(parse_one("--rate=fast").get_double("rate", 1.0),
+              testing::ExitedWithCode(2), "invalid value for --rate: 'fast'");
+  EXPECT_EXIT(parse_one("--rate=0.5s").get_double("rate", 1.0),
+              testing::ExitedWithCode(2), "--rate");
+  EXPECT_EXIT(parse_one("--rate= 1").get_double("rate", 1.0),
+              testing::ExitedWithCode(2), "--rate");
+}
+
+TEST(BenchFlagsDeath, MalformedListItemExitsTwoAndNamesFlag) {
+  EXPECT_EXIT(parse_int_list(parse_one("--k_list=2,x,4"), "k_list", ""),
+              testing::ExitedWithCode(2), "invalid value for --k_list: 'x'");
+  EXPECT_EXIT(parse_int_list(parse_one("--k_list=2,,4"), "k_list", ""),
+              testing::ExitedWithCode(2), "--k_list");
+  EXPECT_EXIT(parse_double_list(parse_one("--drops=0,0.1%"), "drops", ""),
+              testing::ExitedWithCode(2), "invalid value for --drops: '0.1%'");
+  // A malformed fallback is a programming error reported the same way.
+  EXPECT_EXIT(parse_int_list(parse_one("--ops=1"), "k_list", "2;3"),
+              testing::ExitedWithCode(2), "--k_list");
 }
 
 }  // namespace

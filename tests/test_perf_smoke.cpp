@@ -190,6 +190,9 @@ TEST(PerfSmoke, KeyedSingleKeyMatchesSingleCounterBaseline) {
       std::make_unique<CentralCounter>(16), options, keyed);
   ASSERT_TRUE(res.base.values_ok);
   EXPECT_EQ(res.hot_key, 0);
+  // The hot key's op count covers the measured ops only, like its
+  // loads: the 32 warmup ops are not in it.
+  EXPECT_EQ(res.hot_key_ops, 256);
   // 15 of every 16 round-robin ops are remote, 2 messages each — the
   // identical closed form as the single-counter pin.
   EXPECT_EQ(res.hot_key_max_load, 480);

@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <set>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -230,6 +232,115 @@ TEST(Service, LruLogDeterministicAcrossWorkerCounts) {
   for (const auto& [key, value] : w1.values) {
     EXPECT_EQ(value, per_key[static_cast<std::size_t>(key)]) << key;
   }
+}
+
+service::KeyDirectory make_directory(std::size_t capacity) {
+  return service::KeyDirectory(
+      [] { return std::make_unique<CentralCounter>(4); }, /*n=*/4,
+      /*evictable=*/true, service::KeyDirectoryOptions{1, capacity});
+}
+
+// Reference LRU by full scan: evict the minimum last-use stamp, ties to
+// the smaller key — the victim rule the directory's heap must match.
+class ReferenceLru {
+ public:
+  explicit ReferenceLru(std::size_t capacity) : capacity_(capacity) {}
+
+  void touch(KeyId key) {
+    using Log = service::KeyDirectory::LogRecord;
+    if (live_.find(key) == live_.end()) {
+      while (live_.size() >= capacity_) {
+        auto victim = live_.begin();
+        for (auto it = live_.begin(); it != live_.end(); ++it) {
+          if (it->second < victim->second ||
+              (it->second == victim->second && it->first < victim->first)) {
+            victim = it;
+          }
+        }
+        log_.push_back({Log::Kind::kEvict, victim->first});
+        parked_.insert(victim->first);
+        live_.erase(victim);
+      }
+      if (parked_.erase(key) > 0) log_.push_back({Log::Kind::kRehydrate, key});
+    }
+    live_[key] = ++tick_;
+  }
+
+  const std::vector<service::KeyDirectory::LogRecord>& log() const {
+    return log_;
+  }
+
+ private:
+  std::size_t capacity_;
+  std::uint64_t tick_{0};
+  std::map<KeyId, std::uint64_t> live_;
+  std::set<KeyId> parked_;
+  std::vector<service::KeyDirectory::LogRecord> log_;
+};
+
+// Differential test of the directory's LRU index against the reference
+// scan: the same victims in the same order, a clone taken mid-stream
+// (copy_state_from) continuing in lockstep, and the capacity held
+// after every call.
+TEST(Service, LruVictimsMatchReferenceScan) {
+  const std::size_t capacity = 64;
+  const std::size_t calls = 50000;
+  const auto keys = make_keys("zipf", 0.99, /*keys=*/2000,
+                              static_cast<std::int64_t>(calls), /*seed=*/5);
+  service::KeyDirectory dir = make_directory(capacity);
+  service::KeyDirectory clone = make_directory(capacity);
+  ReferenceLru ref(capacity);
+  const auto noop = [](service::KeyDirectory::Entry&) {};
+  for (std::size_t i = 0; i < calls; ++i) {
+    if (i == calls / 2) {
+      ASSERT_EQ(dir.log(), ref.log());
+      clone.copy_state_from(dir);
+    }
+    dir.with_entry(keys[i], noop);
+    ref.touch(keys[i]);
+    ASSERT_LE(dir.live_instances(), capacity) << i;
+    if (i >= calls / 2) {
+      clone.with_entry(keys[i], noop);
+      ASSERT_LE(clone.live_instances(), capacity) << i;
+    }
+  }
+  EXPECT_GT(dir.stats().evicts, 10000);  // the cap actually binds
+  EXPECT_EQ(dir.log(), ref.log());
+  EXPECT_EQ(clone.log(), dir.log());
+}
+
+// Concurrent hits, creations and evictions from real threads. The
+// directory's shared_mutex, its relaxed LRU stamps and the LRU index
+// are the keyed fabric's only cross-thread state; every completion
+// must land in exactly one live or durable entry, and the tier's
+// counters must balance.
+TEST(Service, LruConcurrentTouchesKeepTierConsistent) {
+  const std::size_t capacity = 16;
+  const std::size_t threads = 4;
+  const std::size_t calls = 4000;
+  service::KeyDirectory dir = make_directory(capacity);
+  std::vector<std::thread> pool;
+  for (std::size_t t = 0; t < threads; ++t) {
+    pool.emplace_back([&dir, t] {
+      const auto keys = make_keys("zipf", 0.99, /*keys=*/200,
+                                  static_cast<std::int64_t>(calls), 17 + t);
+      for (const KeyId key : keys) {
+        dir.with_entry(key, [](service::KeyDirectory::Entry& e) {
+          e.completed.fetch_add(1, std::memory_order_relaxed);
+        });
+      }
+    });
+  }
+  for (std::thread& th : pool) th.join();
+
+  const auto stats = dir.stats();
+  EXPECT_EQ(dir.total_completed(),
+            static_cast<std::int64_t>(threads * calls));
+  EXPECT_LE(dir.live_instances(), capacity);
+  EXPECT_EQ(static_cast<std::int64_t>(dir.live_instances()),
+            stats.misses - stats.evicts);
+  EXPECT_GT(stats.evicts, 0);
+  EXPECT_LE(stats.rehydrates, stats.evicts);
 }
 
 // The fabric refuses concurrent use it cannot support: a capacity
