@@ -54,111 +54,53 @@ using namespace dcnt;
 namespace {
 
 struct KeyRow {
-  std::string mode;  ///< "inproc", "inproc-lru", "tcp"
-  std::size_t keys{1};
+  std::string mode;  ///< "inproc", "inproc-lru", "inproc-open", "tcp", "tcp-open"
   std::string key_dist;
   double key_skew{0.0};
   std::size_t parallelism{0};  ///< workers (inproc) or nodes (tcp)
   std::size_t batch{1};        ///< tcp rows: schedule entries per frame
-  std::size_t ops{0};
   std::size_t key_capacity{0};
-  double ops_per_sec{0.0};
-  double p50_us{0.0};
-  double p99_us{0.0};
-  /// Open-loop rows ("inproc-open"): offered rate, deep tail and SLO
-  /// attainment with latency measured from scheduled arrival.
+  /// Open-loop rows: offered rate (latency from scheduled arrival).
   double rate{0.0};
-  double p999_us{0.0};
-  double max_us{0.0};
-  double slo_attainment{0.0};
-  bool hdr_recorder{false};
-  std::int64_t total_messages{0};
-  std::int64_t max_load{0};
-  std::int64_t hot_key{-1};
-  std::int64_t hot_key_ops{0};
-  std::int64_t hot_key_max_load{0};
+  RunReport run;
+  KeyedReport keyed;
+  std::size_t live_instances{0};  ///< inproc rows
+  std::int64_t wire_msgs{0};      ///< tcp rows
+
   /// The normalized per-key bottleneck: the hot key's max_p divided by
   /// its op count. The paper's claim is that this stays Omega(1) per op
   /// (a constant for central) regardless of how many other keys share
   /// the fabric.
-  double hot_key_load_per_op{0.0};
-  std::size_t keys_touched{0};
-  std::size_t live_instances{0};
-  std::int64_t lru_hits{0};
-  std::int64_t lru_misses{0};
-  std::int64_t lru_evicts{0};
-  std::int64_t lru_rehydrates{0};
-  std::int64_t wire_msgs{0};
+  double hot_key_load_per_op() const {
+    if (keyed.hot_key_ops <= 0) return 0.0;
+    return static_cast<double>(keyed.hot_key_max_load) /
+           static_cast<double>(keyed.hot_key_ops);
+  }
 };
 
 KeyRow from_keyed_throughput(const KeyedThroughputResult& r,
-                             const std::string& key_dist, double skew,
-                             std::size_t capacity, const std::string& mode) {
+                             const KeyedOptions& kopt, const std::string& mode) {
   KeyRow row;
   row.mode = mode;
-  row.keys = r.keys;
-  row.key_dist = key_dist;
-  row.key_skew = skew;
+  row.key_dist = kopt.key_dist;
+  row.key_skew = kopt.key_skew;
   row.parallelism = r.base.workers;
-  row.ops = r.base.ops;
-  row.key_capacity = capacity;
-  row.ops_per_sec = r.base.ops_per_sec;
-  row.p50_us = r.base.p50_us;
-  row.p99_us = r.base.p99_us;
-  row.p999_us = r.base.p999_us;
-  row.max_us = r.base.max_us;
-  row.slo_attainment = r.base.slo_attainment;
-  row.hdr_recorder = r.base.hdr_recorder;
-  row.total_messages = r.base.total_messages;
-  row.max_load = r.base.max_load;
-  row.hot_key = r.hot_key;
-  row.hot_key_ops = r.hot_key_ops;
-  row.hot_key_max_load = r.hot_key_max_load;
-  if (r.hot_key_ops > 0) {
-    row.hot_key_load_per_op = static_cast<double>(r.hot_key_max_load) /
-                              static_cast<double>(r.hot_key_ops);
-  }
-  row.keys_touched = r.keys_touched;
+  row.key_capacity = kopt.key_capacity;
+  row.run = r.base;
+  row.keyed = r;
   row.live_instances = r.live_instances;
-  row.lru_hits = r.lru_hits;
-  row.lru_misses = r.lru_misses;
-  row.lru_evicts = r.lru_evicts;
-  row.lru_rehydrates = r.lru_rehydrates;
   return row;
 }
 
-KeyRow from_cluster(const net::ClusterResult& r, const std::string& key_dist,
-                    double skew, std::size_t batch, std::size_t capacity) {
+/// The cluster rows all draw keys Zipf(0.99) with an uncapped directory.
+KeyRow from_cluster(const net::ClusterResult& r, const std::string& mode) {
   KeyRow row;
-  row.mode = "tcp";
-  row.keys = r.keys;
-  row.key_dist = key_dist;
-  row.key_skew = skew;
+  row.mode = mode;
+  row.key_dist = "zipf";
+  row.key_skew = 0.99;
   row.parallelism = r.nodes;
-  row.batch = batch;
-  row.ops = r.ops;
-  row.key_capacity = capacity;
-  row.ops_per_sec = r.ops_per_sec;
-  row.p50_us = r.p50_us;
-  row.p99_us = r.p99_us;
-  row.p999_us = r.p999_us;
-  row.max_us = r.max_us;
-  row.slo_attainment = r.slo_attainment;
-  row.hdr_recorder = r.hdr_recorder;
-  row.total_messages = r.total_messages;
-  row.max_load = r.max_load;
-  row.hot_key = r.hot_key;
-  row.hot_key_ops = r.hot_key_ops;
-  row.hot_key_max_load = r.hot_key_max_load;
-  if (r.hot_key_ops > 0) {
-    row.hot_key_load_per_op = static_cast<double>(r.hot_key_max_load) /
-                              static_cast<double>(r.hot_key_ops);
-  }
-  row.keys_touched = r.keys_touched;
-  row.lru_hits = r.lru_hits;
-  row.lru_misses = r.lru_misses;
-  row.lru_evicts = r.lru_evicts;
-  row.lru_rehydrates = r.lru_rehydrates;
+  row.run = r;
+  row.keyed = r;
   row.wire_msgs = r.wire_msgs_sent;
   return row;
 }
@@ -199,9 +141,14 @@ int main(int argc, char** argv) {
   // from scheduled arrival. --quick keeps it in the smoke path.
   const double open_rate =
       flags.get_double("open_rate", quick ? 20000.0 : 0.0);
-  const std::string shape = flags.get_string("shape", "constant");
-  const double slo_us = flags.get_double("slo_us", quick ? 1000.0 : 0.0);
   const std::string out = flags.get_string("out", "BENCH_keys.json");
+  // The open rows' traffic knobs: rate, arrival shape and SLO.
+  traffic::LoadSpec open;
+  open.warmup = warmup;
+  open.seed = seed;
+  open.open_rate = open_rate;
+  read_shape_flags(flags, open_rate > 0.0, open);
+  open.slo_us = flags.get_double("slo_us", quick ? 1000.0 : 0.0);
 
   const CounterKind kind = counter_kind_from_string(counter);
   const std::size_t procs = make_counter(kind, n)->num_processors();
@@ -213,33 +160,42 @@ int main(int argc, char** argv) {
     const std::size_t by_keys = std::min<std::size_t>(4 * keys, 200000);
     return std::max(floor_ops, by_keys);
   };
-  const auto dist_for = [](double skew) {
-    return skew > 0.0 ? std::string("zipf") : std::string("uniform");
+  const auto keyed_for = [](std::size_t keys, double skew,
+                            std::size_t capacity) {
+    KeyedOptions kopt;
+    kopt.keys = keys;
+    kopt.key_dist = skew > 0.0 ? "zipf" : "uniform";
+    kopt.key_skew = skew;
+    kopt.key_capacity = capacity;
+    return kopt;
   };
+  const auto workers_for = [](std::int64_t w) {
+    return static_cast<std::size_t>(w > 0 ? w : 1);
+  };
+  const auto max_keys = static_cast<std::size_t>(
+      *std::max_element(keys_list.begin(), keys_list.end()));
+
+  // The knobs every closed in-process row shares. active_shards stays
+  // adaptive (min(workers, cores)) like the other wall-clock benches: on
+  // a small host W > 1 degrades gracefully instead of paying forced
+  // cross-shard hops; the keyed tests pin it instead.
+  ThroughputOptions closed;
+  closed.concurrency = concurrency;
+  closed.warmup = warmup;
+  closed.seed = seed;
 
   std::vector<KeyRow> rows;
   for (const std::int64_t keys64 : keys_list) {
     const auto keys = static_cast<std::size_t>(keys64 > 0 ? keys64 : 1);
     for (const double skew : key_skews) {
       for (const std::int64_t w : workers_list) {
-        ThroughputOptions topt;
-        topt.workers = static_cast<std::size_t>(w > 0 ? w : 1);
+        ThroughputOptions topt = closed;
+        topt.workers = workers_for(w);
         topt.ops = ops_for(keys);
-        topt.concurrency = concurrency;
-        topt.warmup = warmup;
-        topt.seed = seed;
-        // active_shards stays adaptive (min(workers, cores)) like the
-        // other wall-clock benches: on a small host W > 1 degrades
-        // gracefully instead of paying forced cross-shard hops; the
-        // keyed tests pin it instead.
-        KeyedOptions kopt;
-        kopt.keys = keys;
-        kopt.key_dist = dist_for(skew);
-        kopt.key_skew = skew;
-        kopt.key_capacity = key_capacity;
+        const KeyedOptions kopt = keyed_for(keys, skew, key_capacity);
         rows.push_back(from_keyed_throughput(
-            run_keyed_throughput(make_counter(kind, n), topt, kopt),
-            kopt.key_dist, skew, key_capacity, "inproc"));
+            run_keyed_throughput(make_counter(kind, n), topt, kopt), kopt,
+            "inproc"));
       }
     }
   }
@@ -247,52 +203,28 @@ int main(int argc, char** argv) {
   // LRU cold tier at work: cap the directory well below the largest
   // keyspace so the skewed stream keeps evicting cold keys to their
   // durable values and rehydrating them on the next touch.
-  {
-    const auto keys =
-        static_cast<std::size_t>(*std::max_element(keys_list.begin(), keys_list.end()));
-    if (keys > 1) {
-      const double skew = key_skews.back();
-      const std::size_t capacity = std::max<std::size_t>(16, keys / 8);
-      ThroughputOptions topt;
-      topt.workers =
-          static_cast<std::size_t>(workers_list.back() > 0 ? workers_list.back() : 1);
-      topt.ops = ops_for(keys);
-      topt.concurrency = concurrency;
-      topt.warmup = warmup;
-      topt.seed = seed;
-      KeyedOptions kopt;
-      kopt.keys = keys;
-      kopt.key_dist = dist_for(skew);
-      kopt.key_skew = skew;
-      kopt.key_capacity = capacity;
-      rows.push_back(from_keyed_throughput(
-          run_keyed_throughput(make_counter(kind, n), topt, kopt),
-          kopt.key_dist, skew, capacity, "inproc-lru"));
-    }
+  if (max_keys > 1) {
+    ThroughputOptions topt = closed;
+    topt.workers = workers_for(workers_list.back());
+    topt.ops = ops_for(max_keys);
+    const KeyedOptions kopt = keyed_for(max_keys, key_skews.back(),
+                                        std::max<std::size_t>(16, max_keys / 8));
+    rows.push_back(from_keyed_throughput(
+        run_keyed_throughput(make_counter(kind, n), topt, kopt), kopt,
+        "inproc-lru"));
   }
 
   // Open-loop keyed row: the fabric under offered load at the largest
   // swept keyspace, tails measured from scheduled arrival.
   if (open_rate > 0.0) {
-    const auto keys = static_cast<std::size_t>(
-        *std::max_element(keys_list.begin(), keys_list.end()));
-    const double skew = key_skews.back();
     ThroughputOptions topt;
-    topt.workers = static_cast<std::size_t>(
-        workers_list.back() > 0 ? workers_list.back() : 1);
-    topt.ops = ops_for(keys);
-    topt.warmup = warmup;
-    topt.seed = seed;
-    topt.open_rate = open_rate;
-    topt.shape = shape;
-    topt.slo_us = slo_us;
-    KeyedOptions kopt;
-    kopt.keys = keys;
-    kopt.key_dist = dist_for(skew);
-    kopt.key_skew = skew;
+    static_cast<traffic::LoadSpec&>(topt) = open;
+    topt.workers = workers_for(workers_list.back());
+    topt.ops = ops_for(max_keys);
+    const KeyedOptions kopt = keyed_for(max_keys, key_skews.back(), 0);
     KeyRow row = from_keyed_throughput(
-        run_keyed_throughput(make_counter(kind, n), topt, kopt),
-        kopt.key_dist, skew, 0, "inproc-open");
+        run_keyed_throughput(make_counter(kind, n), topt, kopt), kopt,
+        "inproc-open");
     row.rate = open_rate;
     rows.push_back(row);
   }
@@ -300,6 +232,14 @@ int main(int argc, char** argv) {
   // The real cluster: batched keyed Starts out, coalesced completions
   // back, per-key values verified as exact permutations across 4
   // processes, per-key loads merged from chunked kKeyedStats reports.
+  net::ClusterOptions cluster;
+  cluster.counter = counter;
+  cluster.min_processors = n;
+  cluster.nodes = nodes;
+  cluster.warmup = warmup;
+  cluster.seed = seed;
+  cluster.key_dist = "zipf";
+  cluster.key_skew = 0.99;
   std::vector<std::size_t> cluster_batches{1};
   if (batch > 1) cluster_batches.push_back(batch);
   std::vector<std::size_t> cluster_keyspaces{1};
@@ -307,21 +247,15 @@ int main(int argc, char** argv) {
   for (const std::size_t b : cluster_batches) {
     for (const std::size_t keys : cluster_keyspaces) {
       if (b == 1 && keys == 1) continue;  // covered by the batch sweep
-      net::ClusterOptions copt;
-      copt.counter = counter;
-      copt.min_processors = n;
-      copt.nodes = nodes;
+      net::ClusterOptions copt = cluster;
       copt.ops = std::min<std::size_t>(std::max<std::size_t>(4 * keys, 256),
                                        quick ? 256 : 2048);
       copt.concurrency = 8;
-      copt.warmup = warmup;
-      copt.seed = seed;
       copt.keys = keys;
-      copt.key_dist = "zipf";
-      copt.key_skew = 0.99;
       copt.batch = b;
-      rows.push_back(
-          from_cluster(net::run_cluster(copt), "zipf", 0.99, b, 0));
+      KeyRow row = from_cluster(net::run_cluster(copt), "tcp");
+      row.batch = b;
+      rows.push_back(row);
     }
   }
 
@@ -331,21 +265,11 @@ int main(int argc, char** argv) {
   // against the batched closed-loop tcp rows prices what coalescing
   // buys and what open-loop pacing costs.
   if (open_rate > 0.0) {
-    net::ClusterOptions copt;
-    copt.counter = counter;
-    copt.min_processors = n;
-    copt.nodes = nodes;
+    net::ClusterOptions copt = cluster;
+    static_cast<traffic::LoadSpec&>(copt) = open;
     copt.ops = quick ? 256 : 2048;
-    copt.warmup = warmup;
-    copt.seed = seed;
     copt.keys = cluster_keys;
-    copt.key_dist = "zipf";
-    copt.key_skew = 0.99;
-    copt.open_rate = open_rate;
-    copt.shape = shape;
-    copt.slo_us = slo_us;
-    KeyRow row = from_cluster(net::run_cluster(copt), "zipf", 0.99, 1, 0);
-    row.mode = "tcp-open";
+    KeyRow row = from_cluster(net::run_cluster(copt), "tcp-open");
     row.rate = open_rate;
     rows.push_back(row);
   }
@@ -353,24 +277,26 @@ int main(int argc, char** argv) {
   Table table({"mode", "keys", "dist", "par", "batch", "ops", "cap", "inc/s",
                "p99_us", "max_load", "hot_ops", "hk_max", "hk/op", "touched",
                "evict", "rehyd"});
-  for (const KeyRow& r : rows) {
+  for (const KeyRow& row : rows) {
+    const RunReport& r = row.run;
+    const KeyedReport& k = row.keyed;
     table.row()
-        .add(r.mode)
-        .add(static_cast<std::int64_t>(r.keys))
-        .add(r.key_dist)
-        .add(static_cast<std::int64_t>(r.parallelism))
-        .add(static_cast<std::int64_t>(r.batch))
+        .add(row.mode)
+        .add(static_cast<std::int64_t>(k.keys))
+        .add(row.key_dist)
+        .add(static_cast<std::int64_t>(row.parallelism))
+        .add(static_cast<std::int64_t>(row.batch))
         .add(static_cast<std::int64_t>(r.ops))
-        .add(static_cast<std::int64_t>(r.key_capacity))
+        .add(static_cast<std::int64_t>(row.key_capacity))
         .add(r.ops_per_sec, 0)
         .add(r.p99_us, 1)
         .add(r.max_load)
-        .add(r.hot_key_ops)
-        .add(r.hot_key_max_load)
-        .add(r.hot_key_load_per_op, 2)
-        .add(static_cast<std::int64_t>(r.keys_touched))
-        .add(r.lru_evicts)
-        .add(r.lru_rehydrates);
+        .add(k.hot_key_ops)
+        .add(k.hot_key_max_load)
+        .add(row.hot_key_load_per_op(), 2)
+        .add(static_cast<std::int64_t>(k.keys_touched))
+        .add(k.lru_evicts)
+        .add(k.lru_rehydrates);
   }
   table.print(std::cout,
               "KEYS: multi-key fabric — aggregate scales, every key still "
@@ -386,41 +312,43 @@ int main(int argc, char** argv) {
   json.field("batch", batch);
   json.field("seed", seed);
   json.begin_array("runs");
-  for (const KeyRow& r : rows) {
+  for (const KeyRow& row : rows) {
+    const RunReport& r = row.run;
+    const KeyedReport& k = row.keyed;
     json.begin_object();
-    json.field("mode", r.mode);
-    json.field("keys", r.keys);
-    json.field("key_dist", r.key_dist);
-    json.field("key_skew", r.key_skew, 2);
-    json.field("parallelism", r.parallelism);
-    json.field("batch", r.batch);
+    json.field("mode", row.mode);
+    json.field("keys", k.keys);
+    json.field("key_dist", row.key_dist);
+    json.field("key_skew", row.key_skew, 2);
+    json.field("parallelism", row.parallelism);
+    json.field("batch", row.batch);
     json.field("ops", r.ops);
-    json.field("key_capacity", r.key_capacity);
+    json.field("key_capacity", row.key_capacity);
     json.field("ops_per_sec", r.ops_per_sec, 1);
     json.field("p50_us", r.p50_us, 2);
     json.field("p99_us", r.p99_us, 2);
-    if (r.mode == "inproc-open" || r.mode == "tcp-open") {
-      json.field("rate", r.rate, 1);
-      json.field("shape", shape);
+    if (row.mode == "inproc-open" || row.mode == "tcp-open") {
+      json.field("rate", row.rate, 1);
+      json.field("shape", open.shape);
       json.field("p999_us", r.p999_us, 2);
       json.field("max_us", r.max_us, 2);
-      json.field("slo_us", slo_us, 1);
+      json.field("slo_us", open.slo_us, 1);
       json.field("slo_attainment", r.slo_attainment, 6);
       json.field("hdr_recorder", r.hdr_recorder ? 1 : 0);
     }
     json.field("total_messages", r.total_messages);
     json.field("max_load", r.max_load);
-    json.field("hot_key", r.hot_key);
-    json.field("hot_key_ops", r.hot_key_ops);
-    json.field("hot_key_max_load", r.hot_key_max_load);
-    json.field("hot_key_load_per_op", r.hot_key_load_per_op, 3);
-    json.field("keys_touched", r.keys_touched);
-    json.field("live_instances", r.live_instances);
-    json.field("lru_hits", r.lru_hits);
-    json.field("lru_misses", r.lru_misses);
-    json.field("lru_evicts", r.lru_evicts);
-    json.field("lru_rehydrates", r.lru_rehydrates);
-    json.field("wire_msgs", r.wire_msgs);
+    json.field("hot_key", k.hot_key);
+    json.field("hot_key_ops", k.hot_key_ops);
+    json.field("hot_key_max_load", k.hot_key_max_load);
+    json.field("hot_key_load_per_op", row.hot_key_load_per_op(), 3);
+    json.field("keys_touched", k.keys_touched);
+    json.field("live_instances", row.live_instances);
+    json.field("lru_hits", k.lru_hits);
+    json.field("lru_misses", k.lru_misses);
+    json.field("lru_evicts", k.lru_evicts);
+    json.field("lru_rehydrates", k.lru_rehydrates);
+    json.field("wire_msgs", row.wire_msgs);
     json.end_object();
   }
   json.end_array();

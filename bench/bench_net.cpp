@@ -22,11 +22,11 @@
 // event loop batches every frame queued in one drain round into a
 // single write() per peer.
 //
-// The cluster rows sweep `--pipelines` (closed-loop pipeline depth D:
-// each of the `--concurrency` slots keeps D ops outstanding). D=1 is
-// the classic one-op-per-slot closed loop; D>1 amortises the
-// per-wakeup syscall cost across a deeper in-flight window — the lever
-// the v2 reactor/threading work targets. Every depth is still verified
+// The cluster rows sweep `--pipelines` (closed-loop depth D, the
+// cluster's `inflight` knob: each of the `--concurrency` slots keeps D
+// ops outstanding). D=1 is the classic one-op-per-slot closed loop;
+// D>1 amortises the per-wakeup syscall cost across a deeper in-flight
+// window — the lever the v2 reactor/threading work targets. Every depth is still verified
 // as an exact permutation. p50/p99 latency is per-op as stamped at the
 // controller, so at D>1 it includes queueing behind the same slot's
 // earlier ops.
@@ -78,96 +78,40 @@ namespace {
 
 /// One row of the comparison, whichever runtime produced it.
 struct NetRow {
-  std::string counter;
-  std::string mode;  ///< "inproc", "tcp", "udp", "udp-lossy", "tcp-conc"
+  std::string mode;  ///< "inproc", "tcp", "udp", "udp-lossy", "tcp-conc", "tcp-open"
   std::size_t pipeline{1};  ///< closed-loop depth per slot (1 for inproc)
   std::size_t inflight{0};  ///< tcp-conc rows: F ops outstanding per slot
-  std::size_t n{0};
   std::size_t parallelism{0};  ///< workers (inproc) or nodes (cluster)
-  std::size_t ops{0};
-  double wall_seconds{0.0};
-  double ops_per_sec{0.0};
-  double mean_us{0.0};
-  double p50_us{0.0};
-  double p99_us{0.0};
-  std::int64_t total_messages{0};
-  std::int64_t max_load{0};
+  double rate{0.0};  ///< tcp-open rows: offered rate
+  RunReport run;
+  /// Wire accounting, summed across nodes (0 for the in-process rows).
   std::int64_t wire_msgs{0};
-  std::int64_t injected_drops{0};
-  std::int64_t retransmissions{0};
   std::int64_t wire_bytes{0};
   std::int64_t write_syscalls{0};
-  /// Wire bytes per kernel write() — how much frame coalescing the
-  /// deferred-flush event loop achieved (0 for the in-process rows).
-  double bytes_per_write{0.0};
-  /// Open-loop rows ("tcp-open"): offered rate, deep tails measured
-  /// from scheduled arrival, and SLO attainment.
-  double rate{0.0};
-  double p999_us{0.0};
-  double p9999_us{0.0};
-  double max_us{0.0};
-  double slo_attainment{0.0};
-  bool hdr_recorder{false};
-  /// Linearizability verdict over the run's real recorded history
-  /// (concurrent::check_linearizable; lin_checked says it ran).
-  bool lin_checked{false};
-  bool linearizable{false};
-  std::int64_t lin_violations{0};
-};
+  std::int64_t injected_drops{0};
+  std::int64_t retransmissions{0};
 
-NetRow from_throughput(const ThroughputResult& r) {
-  NetRow row;
-  row.counter = r.counter;
-  row.mode = "inproc";
-  row.n = r.n;
-  row.parallelism = r.workers;
-  row.ops = r.ops;
-  row.wall_seconds = r.wall_seconds;
-  row.ops_per_sec = r.ops_per_sec;
-  row.mean_us = r.mean_us;
-  row.p50_us = r.p50_us;
-  row.p99_us = r.p99_us;
-  row.total_messages = r.total_messages;
-  row.max_load = r.max_load;
-  row.lin_checked = r.lin_checked;
-  row.linearizable = r.linearizable;
-  row.lin_violations = r.lin_violations;
-  return row;
-}
+  /// Wire bytes per kernel write() — how much frame coalescing the
+  /// deferred-flush event loop achieved.
+  double bytes_per_write() const {
+    if (write_syscalls <= 0) return 0.0;
+    return static_cast<double>(wire_bytes) /
+           static_cast<double>(write_syscalls);
+  }
+};
 
 NetRow from_cluster(const net::ClusterResult& r, const std::string& mode,
                     std::size_t pipeline) {
   NetRow row;
-  row.counter = r.counter;
   row.mode = mode;
   row.pipeline = pipeline;
-  row.n = r.n;
   row.parallelism = r.nodes;
-  row.ops = r.ops;
-  row.wall_seconds = r.wall_seconds;
-  row.ops_per_sec = r.ops_per_sec;
-  row.mean_us = r.mean_us;
-  row.p50_us = r.p50_us;
-  row.p99_us = r.p99_us;
-  row.total_messages = r.total_messages;
-  row.max_load = r.max_load;
+  row.run = r;
   row.wire_msgs = r.wire_msgs_sent;
-  row.injected_drops = r.injected_drops;
-  row.retransmissions = r.retransmissions;
   row.wire_bytes = r.wire_bytes_sent;
   row.write_syscalls = r.wire_write_syscalls;
-  row.p999_us = r.p999_us;
-  row.p9999_us = r.p9999_us;
-  row.max_us = r.max_us;
-  row.slo_attainment = r.slo_attainment;
-  row.hdr_recorder = r.hdr_recorder;
-  row.lin_checked = r.lin_checked;
-  row.linearizable = r.linearizable;
-  row.lin_violations = r.lin_violations;
-  if (r.wire_write_syscalls > 0) {
-    row.bytes_per_write = static_cast<double>(r.wire_bytes_sent) /
-                          static_cast<double>(r.wire_write_syscalls);
-  }
+  row.injected_drops = r.injected_drops;
+  row.retransmissions = r.retransmissions;
   return row;
 }
 
@@ -202,6 +146,7 @@ int main(int argc, char** argv) {
   const auto shards_per_node =
       static_cast<std::uint32_t>(flags.get_int("shards_per_node", 0));
   const std::string backend = flags.get_string("backend", "");
+  if (!backend.empty()) parse_choice_value("backend", backend, {"epoll", "poll"});
   const auto warmup = static_cast<std::size_t>(flags.get_int("warmup", 64));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
   const std::string out = flags.get_string("out", "BENCH_net.json");
@@ -209,14 +154,21 @@ int main(int argc, char** argv) {
   // Start frames on the deterministic arrival timeline and stamps
   // latency from scheduled arrival — queueing in the mesh counts.
   const auto rates = parse_double_list(flags, "rates", "");
-  const std::string shape = flags.get_string("shape", "constant");
-  const double period = flags.get_double("period", 1.0);
-  const double amplitude = flags.get_double("amplitude", 0.5);
-  const double duty = flags.get_double("duty", 0.5);
-  const double duration = flags.get_double("duration", 0.0);
-  const double slo_us = flags.get_double("slo_us", 0.0);
-  const auto exact_cap =
-      static_cast<std::size_t>(flags.get_int("exact_cap", 1 << 16));
+
+  // The knobs every cluster row shares; each section copies and extends.
+  net::ClusterOptions cluster;
+  cluster.min_processors = n;
+  cluster.nodes = nodes;
+  cluster.loops = loops;
+  cluster.shards_per_node = shards_per_node;
+  cluster.backend = backend;
+  cluster.warmup = warmup;
+  cluster.seed = seed;
+  net::ClusterOptions open = cluster;
+  read_shape_flags(flags, !rates.empty(), open);
+  open.duration_s = flags.get_double("duration", 0.0);
+  open.slo_us = flags.get_double("slo_us", 0.0);
+  open.exact_cap = static_cast<std::size_t>(flags.get_int("exact_cap", 1 << 16));
 
   Table table({"counter", "mode", "pipe", "n", "par", "ops", "inc/s", "p50_us",
                "p99_us", "total_msgs", "max_load", "wire_msgs", "wr_B", "retx",
@@ -241,24 +193,21 @@ int main(int argc, char** argv) {
     topt.concurrency = concurrency;
     topt.warmup = warmup;
     topt.seed = seed;
-    NetRow inproc = from_throughput(run_throughput(make_counter(kind, n), topt));
-    inproc.counter = name;  // cluster rows carry the flag name; match it
+    const ThroughputResult base = run_throughput(make_counter(kind, n), topt);
+    NetRow inproc;
+    inproc.mode = "inproc";
+    inproc.parallelism = base.workers;
+    inproc.run = base;
+    inproc.run.counter = name;  // cluster rows carry the flag name; match it
     rows.push_back(inproc);
 
     for (const std::int64_t depth : pipelines) {
       const auto d = static_cast<std::size_t>(depth > 0 ? depth : 1);
-      net::ClusterOptions copt;
+      net::ClusterOptions copt = cluster;
       copt.counter = name;
-      copt.min_processors = n;
-      copt.nodes = nodes;
-      copt.ops = static_cast<std::int64_t>(ops);
+      copt.ops = ops;
       copt.concurrency = concurrency;
-      copt.pipeline = d;
-      copt.loops = loops;
-      copt.shards_per_node = shards_per_node;
-      copt.backend = backend;
-      copt.warmup = warmup;
-      copt.seed = seed;
+      copt.inflight = d;
       rows.push_back(from_cluster(net::run_cluster(copt), "tcp", d));
 
       copt.udp = true;
@@ -283,24 +232,16 @@ int main(int argc, char** argv) {
     // socket history (serializing counters must pass at every F).
     for (const std::int64_t f : inflight_list) {
       const auto inflight = static_cast<std::size_t>(f > 0 ? f : 1);
-      const std::size_t window = concurrency * inflight;
-      net::ClusterOptions copt;
+      net::ClusterOptions copt = cluster;
       copt.counter = name;
-      copt.min_processors = n;
-      copt.nodes = nodes;
-      copt.ops = static_cast<std::int64_t>(std::max(ops, 4 * window));
+      copt.ops = std::max(ops, 4 * concurrency * inflight);
       copt.concurrency = concurrency;
       copt.inflight = inflight;
-      copt.loops = loops;
-      copt.shards_per_node = shards_per_node;
-      copt.backend = backend;
-      copt.warmup = warmup;
-      copt.seed = seed;
       NetRow row = from_cluster(net::run_cluster(copt), "tcp-conc", inflight);
       row.inflight = inflight;
-      DCNT_CHECK_MSG(row.lin_checked, "tcp-conc row without a lin verdict");
+      DCNT_CHECK_MSG(row.run.lin_checked, "tcp-conc row without a lin verdict");
       if (expected_linearizable(kind)) {
-        DCNT_CHECK_MSG(row.linearizable,
+        DCNT_CHECK_MSG(row.run.linearizable,
                        "serializing counter failed linearizability on TCP");
       }
       rows.push_back(row);
@@ -308,46 +249,33 @@ int main(int argc, char** argv) {
 
     // Open-loop rows on the TCP plane: one per offered rate.
     for (const double rate : rates) {
-      net::ClusterOptions copt;
+      net::ClusterOptions copt = open;
       copt.counter = name;
-      copt.min_processors = n;
-      copt.nodes = nodes;
-      copt.ops = static_cast<std::int64_t>(ops);
-      copt.loops = loops;
-      copt.shards_per_node = shards_per_node;
-      copt.backend = backend;
-      copt.warmup = warmup;
-      copt.seed = seed;
+      copt.ops = ops;
       copt.open_rate = rate;
-      copt.shape = shape;
-      copt.period_s = period;
-      copt.amplitude = amplitude;
-      copt.duty = duty;
-      copt.duration_s = duration;
-      copt.slo_us = slo_us;
-      copt.exact_cap = exact_cap;
       NetRow row = from_cluster(net::run_cluster(copt), "tcp-open", 1);
       row.rate = rate;
       rows.push_back(row);
     }
   }
 
-  for (const NetRow& r : rows) {
+  for (const NetRow& row : rows) {
+    const RunReport& r = row.run;
     table.row()
         .add(r.counter)
-        .add(r.mode)
-        .add(static_cast<std::int64_t>(r.pipeline))
+        .add(row.mode)
+        .add(static_cast<std::int64_t>(row.pipeline))
         .add(static_cast<std::int64_t>(r.n))
-        .add(static_cast<std::int64_t>(r.parallelism))
+        .add(static_cast<std::int64_t>(row.parallelism))
         .add(static_cast<std::int64_t>(r.ops))
         .add(r.ops_per_sec, 0)
         .add(r.p50_us, 1)
         .add(r.p99_us, 1)
         .add(r.total_messages)
         .add(r.max_load)
-        .add(r.wire_msgs)
-        .add(r.bytes_per_write, 1)
-        .add(r.retransmissions)
+        .add(row.wire_msgs)
+        .add(row.bytes_per_write(), 1)
+        .add(row.retransmissions)
         .add(r.lin_checked ? (r.linearizable ? "y" : "NO") : "-")
         .add(r.lin_violations);
   }
@@ -368,44 +296,45 @@ int main(int argc, char** argv) {
   json.field("warmup", warmup);
   json.field("seed", seed);
   json.begin_array("runs");
-  for (const NetRow& r : rows) {
+  for (const NetRow& row : rows) {
+    const RunReport& r = row.run;
     json.begin_object();
     json.field("counter", r.counter);
-    json.field("mode", r.mode);
-    json.field("pipeline", r.pipeline);
+    json.field("mode", row.mode);
+    json.field("pipeline", row.pipeline);
     json.field("n", r.n);
-    json.field("parallelism", r.parallelism);
+    json.field("parallelism", row.parallelism);
     json.field("ops", r.ops);
     json.field("wall_seconds", r.wall_seconds, 4);
     json.field("ops_per_sec", r.ops_per_sec, 1);
     json.field("mean_us", r.mean_us, 2);
     json.field("p50_us", r.p50_us, 2);
     json.field("p99_us", r.p99_us, 2);
-    if (r.mode == "tcp-open") {
-      json.field("rate", r.rate, 1);
-      json.field("shape", shape);
+    if (row.mode == "tcp-open") {
+      json.field("rate", row.rate, 1);
+      json.field("shape", open.shape);
       json.field("p999_us", r.p999_us, 2);
       json.field("p9999_us", r.p9999_us, 2);
       json.field("max_us", r.max_us, 2);
-      json.field("slo_us", slo_us, 1);
+      json.field("slo_us", open.slo_us, 1);
       json.field("slo_attainment", r.slo_attainment, 6);
       json.field("hdr_recorder", r.hdr_recorder ? 1 : 0);
     }
-    if (r.mode == "tcp-conc") {
-      json.field("inflight", r.inflight);
-      json.field("window", r.inflight * concurrency);
+    if (row.mode == "tcp-conc") {
+      json.field("inflight", row.inflight);
+      json.field("window", row.inflight * concurrency);
     }
     json.field("lin_checked", r.lin_checked ? 1 : 0);
     json.field("linearizable", r.linearizable ? 1 : 0);
     json.field("lin_violations", r.lin_violations);
     json.field("total_messages", r.total_messages);
     json.field("max_load", r.max_load);
-    json.field("wire_msgs", r.wire_msgs);
-    json.field("wire_bytes", r.wire_bytes);
-    json.field("write_syscalls", r.write_syscalls);
-    json.field("bytes_per_write", r.bytes_per_write, 1);
-    json.field("injected_drops", r.injected_drops);
-    json.field("retransmissions", r.retransmissions);
+    json.field("wire_msgs", row.wire_msgs);
+    json.field("wire_bytes", row.wire_bytes);
+    json.field("write_syscalls", row.write_syscalls);
+    json.field("bytes_per_write", row.bytes_per_write(), 1);
+    json.field("injected_drops", row.injected_drops);
+    json.field("retransmissions", row.retransmissions);
     json.end_object();
   }
   json.end_array();

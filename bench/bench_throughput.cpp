@@ -71,13 +71,13 @@
 // inc/read criterion for shm-sharded) and ENFORCED linearizable; a
 // placement that cannot pin on this host reports pin=0 rather than
 // failing. --counters also accepts shm-* names directly (closed sweep,
-// placement from --placement/--pin), e.g.
-//   bench_throughput --counters=shm-atomic,shm-flat --pin
+// placement from --placement), e.g.
+//   bench_throughput --counters=shm-atomic,shm-flat --placement=compact
 // Flags: --shm_counters=shm-atomic,shm-flat,shm-funnel,shm-sharded
 //        --shm_threads_list=1,2,4 --shm_inflight_list=1,64
 //        --shm_placements=none,compact --shm_msg_counters=tree,central,
 //        combining --shm_ops=32768 --shm_rate=200000
-//        --placement=none|compact|scatter|tree --pin (= compact)
+//        --placement=none|compact|scatter|tree
 #include <iostream>
 #include <map>
 #include <string>
@@ -104,7 +104,7 @@ int main(int argc, char** argv) {
       {"amplitude", "conc_counters", "conc_workers", "concurrency",
        "counters", "dist", "duration", "duty", "exact_cap", "inflight_list",
        "n", "open_counters", "open_ops_list", "open_rate", "open_workers",
-       "ops_factor", "out", "period", "pin", "placement", "quick", "rates",
+       "ops_factor", "out", "period", "placement", "quick", "rates",
        "seed", "shape", "shm_counters", "shm_inflight_list",
        "shm_msg_counters", "shm_ops", "shm_placements", "shm_rate",
        "shm_threads_list", "slo_us", "threads", "warmup", "workers_list",
@@ -118,7 +118,9 @@ int main(int argc, char** argv) {
   const std::int64_t ops_factor = flags.get_int("ops_factor", quick ? 2 : 16);
   const auto concurrency =
       static_cast<std::size_t>(flags.get_int("concurrency", quick ? 8 : 16));
-  const std::string dist = flags.get_string("dist", "roundrobin");
+  const std::string dist = parse_choice_value(
+      "dist", flags.get_string("dist", "roundrobin"),
+      {"roundrobin", "uniform", "zipf"});
   const double zipf_s = flags.get_double("zipf_s", 0.9);
   const double open_rate = flags.get_double("open_rate", 0.0);
   const auto warmup =
@@ -141,17 +143,6 @@ int main(int argc, char** argv) {
       flags, "open_ops_list", quick ? "4000" : "1000000");
   const auto open_workers =
       static_cast<std::size_t>(flags.get_int("open_workers", 0));
-  const std::string shape = flags.get_string("shape", "constant");
-  const double period = flags.get_double("period", 1.0);
-  const double amplitude = flags.get_double("amplitude", 0.5);
-  const double duty = flags.get_double("duty", 0.5);
-  const double duration = flags.get_double("duration", 0.0);
-  const double slo_us = flags.get_double("slo_us", quick ? 1000.0 : 0.0);
-  const auto exact_cap = static_cast<std::size_t>(flags.get_int(
-      "exact_cap",
-      quick ? 1024
-            : static_cast<std::int64_t>(
-                  dcnt::traffic::TailRecorder::kDefaultExactCap)));
   // CONC sweep: in-flight depths per closed-loop slot. Empty disables
   // the section.
   const auto inflight_list =
@@ -161,10 +152,11 @@ int main(int argc, char** argv) {
                              : "tree,central,combining,diffracting"));
   const auto conc_workers =
       static_cast<std::size_t>(flags.get_int("conc_workers", quick ? 2 : 4));
-  // SHM re-ranking sweep: --pin is shorthand for --placement compact;
-  // an explicit --placement wins.
-  const Placement placement = placement_from_string(flags.get_string(
-      "placement", flags.get_bool("pin", false) ? "compact" : "none"));
+  // SHM re-ranking sweep.
+  const std::vector<std::string> placements = {"none", "compact", "scatter",
+                                               "tree"};
+  const Placement placement = placement_from_string(parse_choice_value(
+      "placement", flags.get_string("placement", "none"), placements));
   const auto shm_counters = parse_string_list(flags.get_string(
       "shm_counters", "shm-atomic,shm-flat,shm-funnel,shm-sharded"));
   const auto shm_threads_list = parse_int_list(
@@ -173,12 +165,35 @@ int main(int argc, char** argv) {
       parse_int_list(flags, "shm_inflight_list", "1,64");
   const auto shm_placements = parse_string_list(
       flags.get_string("shm_placements", "none,compact"));
+  for (const std::string& place : shm_placements) {
+    parse_choice_value("shm_placements", place, placements);
+  }
   const auto shm_msg_counters = parse_string_list(flags.get_string(
       "shm_msg_counters", quick ? "tree,central" : "tree,central,combining"));
   const auto shm_ops = static_cast<std::size_t>(
       flags.get_int("shm_ops", quick ? 2048 : 32768));
   const double shm_rate =
       flags.get_double("shm_rate", quick ? 20000.0 : 200000.0);
+
+  // The knobs every message-passing row shares; each section copies
+  // this and sets its own. The shm rows take its LoadSpec slice.
+  ThroughputOptions base;
+  base.concurrency = concurrency;
+  base.initiators = dist;
+  base.zipf_s = zipf_s;
+  base.seed = seed;
+  base.warmup = warmup;
+  shm::ShmOptions shm_base;
+  static_cast<traffic::LoadSpec&>(shm_base) = base;
+  // Open-loop rows add the arrival shape, budget, SLO and recorder cap.
+  ThroughputOptions open_base = base;
+  read_shape_flags(flags, !rates.empty(), open_base);
+  open_base.duration_s = flags.get_double("duration", 0.0);
+  open_base.slo_us = flags.get_double("slo_us", quick ? 1000.0 : 0.0);
+  open_base.exact_cap = static_cast<std::size_t>(flags.get_int(
+      "exact_cap", quick ? 1024
+                         : static_cast<std::int64_t>(
+                               traffic::TailRecorder::kDefaultExactCap)));
 
   Table table({"counter", "n", "W", "ops", "inc/s", "p50_us", "p95_us",
                "p99_us", "max_load", "total_msgs"});
@@ -190,12 +205,10 @@ int main(int argc, char** argv) {
       // max_load/total_msgs report 0.
       const shm::ShmKind kind = shm::shm_kind_from_string(name);
       for (const std::int64_t w : workers_list) {
-        shm::ShmOptions options;
+        shm::ShmOptions options = shm_base;
         options.threads =
             w == 0 ? threads_from_flags(flags) : static_cast<std::size_t>(w);
         options.ops = shm_ops;
-        options.warmup = warmup;
-        options.seed = seed;
         options.placement = placement;
         const ThroughputResult res = run_shm_throughput(kind, options);
         DCNT_CHECK_MSG(res.lin_checked && res.linearizable,
@@ -226,16 +239,11 @@ int main(int argc, char** argv) {
                   << " (not shard-safe)\n";
         continue;
       }
-      ThroughputOptions options;
+      ThroughputOptions options = base;
       options.workers = workers;
       options.ops = static_cast<std::size_t>(ops_factor) *
                     protocol->num_processors();
-      options.concurrency = concurrency;
       options.open_rate = open_rate;
-      options.initiators = dist;
-      options.zipf_s = zipf_s;
-      options.seed = seed;
-      options.warmup = warmup;
       const ThroughputResult res = run_throughput(std::move(protocol), options);
       results.push_back(res);
       table.row()
@@ -302,7 +310,7 @@ int main(int argc, char** argv) {
     const auto run_conc = [&](std::unique_ptr<CounterProtocol> protocol,
                               std::size_t inflight, bool must_linearize) {
       const std::size_t window = concurrency * inflight;
-      ThroughputOptions options;
+      ThroughputOptions options = base;
       options.workers = conc_workers;
       // Enough ops that the window is the steady state, not the whole
       // run (and, for the elastic rows, that the migration threshold is
@@ -310,12 +318,7 @@ int main(int argc, char** argv) {
       options.ops = std::max<std::size_t>(
           static_cast<std::size_t>(ops_factor) * protocol->num_processors(),
           4 * window);
-      options.concurrency = concurrency;
       options.inflight = inflight;
-      options.initiators = dist;
-      options.zipf_s = zipf_s;
-      options.seed = seed;
-      options.warmup = warmup;
       const ThroughputResult res = run_throughput(std::move(protocol), options);
       DCNT_CHECK_MSG(res.lin_checked, "CONC row skipped its history check");
       if (must_linearize) {
@@ -360,17 +363,12 @@ int main(int argc, char** argv) {
       // run drains: every processor sees resize_period ops after
       // n * resize_period round-robin issues.
       const std::size_t floor_ops = 2 * protocol->num_processors() * 16;
-      ThroughputOptions options;
+      ThroughputOptions options = base;
       options.workers = conc_workers;
       options.ops = std::max<std::size_t>(4 * concurrency *
                                               static_cast<std::size_t>(f),
                                           floor_ops);
-      options.concurrency = concurrency;
       options.inflight = static_cast<std::size_t>(f);
-      options.initiators = dist;
-      options.zipf_s = zipf_s;
-      options.seed = seed;
-      options.warmup = warmup;
       const ThroughputResult res = run_throughput(std::move(protocol), options);
       DCNT_CHECK_MSG(res.lin_checked && res.linearizable,
                      "elastic tree produced a non-linearizable history");
@@ -445,12 +443,10 @@ int main(int argc, char** argv) {
         const Placement policy = placement_from_string(place);
         for (const std::int64_t t : shm_threads_list) {
           for (const std::int64_t f : shm_inflight_list) {
-            shm::ShmOptions options;
+            shm::ShmOptions options = shm_base;
             options.threads = static_cast<std::size_t>(t);
             options.ops = shm_ops;
             options.inflight = static_cast<std::size_t>(f);
-            options.warmup = warmup;
-            options.seed = seed;
             options.placement = policy;
             const ThroughputResult res = run_shm_throughput(kind, options);
             DCNT_CHECK_MSG(
@@ -464,13 +460,11 @@ int main(int argc, char** argv) {
         // largest thread count: does the ranking hold under scheduled
         // arrivals too?
         if (shm_rate > 0.0 && !shm_threads_list.empty()) {
-          shm::ShmOptions options;
+          shm::ShmOptions options = shm_base;
           options.threads =
               static_cast<std::size_t>(shm_threads_list.back());
           options.ops = std::min<std::size_t>(shm_ops, quick ? 1024 : 16384);
           options.open_rate = shm_rate;
-          options.warmup = warmup;
-          options.seed = seed;
           options.placement = policy;
           const ThroughputResult res = run_shm_throughput(kind, options);
           DCNT_CHECK_MSG(res.lin_checked && res.linearizable,
@@ -490,18 +484,13 @@ int main(int argc, char** argv) {
           if (conc_workers > 1 && !protocol->shard_safe()) continue;
           const std::size_t window =
               concurrency * static_cast<std::size_t>(f);
-          ThroughputOptions options;
+          ThroughputOptions options = base;
           options.workers = conc_workers;
           options.ops = std::max<std::size_t>(
               static_cast<std::size_t>(ops_factor) *
                   protocol->num_processors(),
               4 * window);
-          options.concurrency = concurrency;
           options.inflight = static_cast<std::size_t>(f);
-          options.initiators = dist;
-          options.zipf_s = zipf_s;
-          options.seed = seed;
-          options.warmup = warmup;
           options.placement = placement_from_string(place);
           const ThroughputResult res =
               run_throughput(std::move(protocol), options);
@@ -537,8 +526,8 @@ int main(int argc, char** argv) {
     Table open_table({"counter", "rate/s", "shape", "ops", "inc/s", "p50_us",
                       "p99_us", "p999_us", "p9999_us", "max_us", "slo%",
                       "hdr"});
-    std::vector<std::string> shapes{shape};
-    if (quick && shape == "constant") shapes.push_back("burst");
+    std::vector<std::string> shapes{open_base.shape};
+    if (quick && open_base.shape == "constant") shapes.push_back("burst");
     for (const std::string& name : open_counters) {
       const CounterKind kind = counter_kind_from_string(name);
       for (const double rate : rates) {
@@ -546,22 +535,11 @@ int main(int argc, char** argv) {
           for (const std::string& shape_name : shapes) {
             auto protocol = make_counter(kind, n);
             if (open_workers > 1 && !protocol->shard_safe()) continue;
-            ThroughputOptions options;
+            ThroughputOptions options = open_base;
             options.workers = open_workers;
             options.ops = static_cast<std::size_t>(open_ops);
-            options.concurrency = concurrency;
             options.open_rate = rate;
             options.shape = shape_name;
-            options.period_s = period;
-            options.amplitude = amplitude;
-            options.duty = duty;
-            options.duration_s = duration;
-            options.slo_us = slo_us;
-            options.exact_cap = exact_cap;
-            options.initiators = dist;
-            options.zipf_s = zipf_s;
-            options.seed = seed;
-            options.warmup = warmup;
             const ThroughputResult res =
                 run_throughput(std::move(protocol), options);
             open_rows.push_back(OpenRow{res, rate, shape_name,

@@ -79,6 +79,27 @@ std::vector<std::string> parse_string_list(const std::string& text) {
   return out;
 }
 
+void read_shape_flags(const Flags& flags, bool open, traffic::LoadSpec& spec) {
+  spec.shape = parse_choice_value("shape", flags.get_string("shape", spec.shape),
+                                  {"constant", "burst", "diurnal"});
+  spec.period_s = flags.get_double("period", spec.period_s);
+  spec.amplitude = flags.get_double("amplitude", spec.amplitude);
+  spec.duty = flags.get_double("duty", spec.duty);
+  if (!open) return;
+  // Negated comparisons so a NaN value is rejected too.
+  if (!(spec.period_s > 0.0)) {
+    reject_flag_value("period", flags.get_string("period", ""), "a number > 0");
+  }
+  if (!(spec.amplitude >= 0.0 && spec.amplitude <= 1.0)) {
+    reject_flag_value("amplitude", flags.get_string("amplitude", ""),
+                      "a number in [0, 1]");
+  }
+  if (!(spec.duty > 0.0 && spec.duty < 1.0)) {
+    reject_flag_value("duty", flags.get_string("duty", ""),
+                      "a number in (0, 1)");
+  }
+}
+
 JsonWriter::JsonWriter(std::string path) : path_(std::move(path)) {
   f_ = std::fopen(path_.c_str(), "w");
   DCNT_CHECK_MSG(f_ != nullptr, "cannot open --out file");

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "support/flags.hpp"
+#include "traffic/load.hpp"
 
 namespace dcnt {
 
@@ -46,6 +47,14 @@ std::vector<double> parse_double_list(const Flags& flags,
 
 /// "tree,central" -> {"tree", "central"}.
 std::vector<std::string> parse_string_list(const std::string& text);
+
+/// Reads the open-loop shape flags --shape, --period, --amplitude and
+/// --duty into `spec` (an absent flag keeps spec's value). Values
+/// traffic::make_shape would abort on are rejected like malformed ones
+/// (exit 2 naming the flag): --shape must be constant, burst or
+/// diurnal; when `open` (open-loop rows will run) --period must be > 0,
+/// --amplitude in [0, 1] and --duty in (0, 1).
+void read_shape_flags(const Flags& flags, bool open, traffic::LoadSpec& spec);
 
 /// Streaming writer for the flat JSON baselines the benches emit.
 /// Top-level fields go one per line; array rows are single-line

@@ -94,12 +94,13 @@ class Controller {
  private:
   enum class Phase { kHello, kReady, kRun, kQuiesce, kKeyedStats, kShutdown };
 
-  /// Ops kept outstanding per closed-loop slot; quiesce_between_ops
-  /// already forces a window of 1 at the call sites. `inflight` is the
-  /// concurrency-plane alias and supersedes `pipeline` when set.
-  std::size_t pipeline_depth() const {
-    if (opt_.inflight > 0) return opt_.inflight;
-    return opt_.pipeline > 0 ? opt_.pipeline : 1;
+  /// Closed-loop issuance units seeded at a phase start: one under
+  /// quiesce_between_ops, else concurrency slots of `inflight` each,
+  /// capped at the phase's ops.
+  std::size_t closed_window(std::size_t cap) const {
+    if (opt_.quiesce_between_ops) return 1;
+    const std::size_t depth = std::max<std::size_t>(1, opt_.inflight);
+    return std::max<std::size_t>(1, std::min(opt_.concurrency * depth, cap));
   }
 
   bool keyed() const { return opt_.keys > 0; }
@@ -107,7 +108,7 @@ class Controller {
   /// multi-key construct: quiesce_between_ops needs one op in flight and
   /// the open-loop clock paces individual ops, so both force 1.
   std::size_t batch_size() const {
-    if (!keyed() || opt_.quiesce_between_ops || opt_.open_rate > 0.0) return 1;
+    if (!keyed() || opt_.quiesce_between_ops || opt_.open_loop()) return 1;
     return std::max<std::size_t>(1, opt_.batch);
   }
 
@@ -307,11 +308,10 @@ void Controller::begin_measured_phase() {
   run_deadline_ns_ = budget_ns_ == std::numeric_limits<std::int64_t>::max()
                          ? budget_ns_
                          : now + budget_ns_;
-  if (opt_.open_rate > 0.0) {
+  if (opt_.open_loop()) {
     open_t0_ns_ = now;
-    const traffic::RateShape shape = traffic::make_shape(
-        opt_.shape, opt_.open_rate, opt_.period_s, opt_.amplitude, opt_.duty);
-    if (shape.kind == traffic::RateShape::Kind::kBurst) {
+    const traffic::RateShape shape = opt_.rate_shape();
+    if (opt_.split_phases()) {
       // Burst runs split SLO attainment per load phase; no measured op
       // has been stamped yet (warmup never touches the recorder).
       recorder_->enable_phases();
@@ -321,11 +321,7 @@ void Controller::begin_measured_phase() {
     next_arrival_off_ = timeline_->next_ns();
     return;
   }
-  const std::size_t window =
-      opt_.quiesce_between_ops
-          ? 1
-          : std::max<std::size_t>(
-                1, std::min(opt_.concurrency * pipeline_depth(), ops_));
+  const std::size_t window = closed_window(ops_);
   for (std::size_t i = 0; i < window; ++i) issue_next();
   // A zero-length budget can decline the whole window; certify the
   // (empty) run through the barrier rather than hanging.
@@ -483,12 +479,7 @@ void Controller::on_frame(int conn, const FrameView& frame) {
         if (warming_up_) {
           // Warmup always runs closed-loop, even ahead of an open-loop
           // measured phase; the open-loop clock starts after the reset.
-          const std::size_t window =
-              opt_.quiesce_between_ops
-                  ? 1
-                  : std::max<std::size_t>(
-                        1,
-                        std::min(opt_.concurrency * pipeline_depth(), total_));
+          const std::size_t window = closed_window(total_);
           for (std::size_t i = 0; i < window; ++i) issue_next();
         } else {
           begin_measured_phase();
@@ -563,7 +554,7 @@ void Controller::on_complete(OpId op, Value value) {
     }
     return;
   }
-  if (opt_.open_rate <= 0.0) maybe_issue_after_completion();
+  if (!opt_.open_loop()) maybe_issue_after_completion();
   maybe_finish_run();
 }
 
@@ -616,7 +607,7 @@ void Controller::on_keyed_stats(const KeyedStatsFrame& ks) {
 }
 
 int Controller::poll_timeout_ms() const {
-  if (phase_ == Phase::kRun && opt_.open_rate > 0.0) return 1;
+  if (phase_ == Phase::kRun && opt_.open_loop()) return 1;
   if (phase_ == Phase::kQuiesce && !round_in_flight_) return 1;
   return 50;
 }
@@ -661,8 +652,8 @@ ClusterResult Controller::run() {
                    : std::numeric_limits<std::int64_t>::max();
   run_deadline_ns_ = std::numeric_limits<std::int64_t>::max();
   // Sized by op id; the warmup slots simply stay empty.
-  recorder_ = std::make_unique<TailRecorder>(
-      total_, static_cast<std::int64_t>(opt_.slo_us * 1e3), opt_.exact_cap);
+  recorder_ =
+      std::make_unique<TailRecorder>(total_, opt_.slo_ns(), opt_.exact_cap);
   if (opt_.lin_check && !keyed()) {
     history_ = std::make_unique<concurrent::HistoryBuffer>(total_);
   }
@@ -713,7 +704,7 @@ ClusterResult Controller::run() {
   while (phase_ != Phase::kShutdown) {
     check_deadline();
     DCNT_CHECK_MSG(!child_died_, "a node process died mid-run");
-    if (phase_ == Phase::kRun && !warming_up_ && opt_.open_rate > 0.0 &&
+    if (phase_ == Phase::kRun && !warming_up_ && opt_.open_loop() &&
         !no_more_) {
       // Walk the arrival timeline: issue every arrival that is due (all
       // at once if the controller fell behind — never skipped; the
@@ -846,36 +837,8 @@ ClusterResult Controller::run() {
   if (out.wall_seconds > 0.0) {
     out.ops_per_sec = static_cast<double>(out.ops) / out.wall_seconds;
   }
-  const traffic::TrafficStats lat = recorder_->stats();
-  out.mean_us = lat.mean_us;
-  out.p50_us = lat.p50_us;
-  out.p95_us = lat.p95_us;
-  out.p99_us = lat.p99_us;
-  out.p999_us = lat.p999_us;
-  out.p9999_us = lat.p9999_us;
-  out.max_us = lat.max_us;
-  out.slo_us = static_cast<double>(lat.slo_ns) / 1e3;
-  out.slo_den = lat.count;
-  out.slo_ok = lat.slo_ok;
-  out.slo_attainment = lat.slo_attainment;
-  out.hdr_recorder = !lat.exact;
-  out.hdr_overflow = lat.hdr_overflow;
-  if (lat.phases) {
-    out.slo_phases = true;
-    out.slo_high_den = lat.high_count;
-    out.slo_high_ok = lat.high_slo_ok;
-    out.slo_high_attainment = lat.high_attainment;
-    out.slo_low_den = lat.low_count;
-    out.slo_low_ok = lat.low_slo_ok;
-    out.slo_low_attainment = lat.low_attainment;
-  }
-  if (history_) {
-    const LinearizabilityReport report =
-        check_linearizable(history_->snapshot(warmup_));
-    out.lin_checked = true;
-    out.linearizable = report.linearizable;
-    out.lin_violations = report.violations;
-  }
+  out.set_tail(recorder_->stats());
+  if (history_) out.set_lin(check_linearizable(history_->snapshot(warmup_)));
   return out;
 }
 

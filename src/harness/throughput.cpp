@@ -28,46 +28,16 @@ bool is_permutation_of_iota(std::vector<Value> values) {
 
 WorkloadOptions make_workload_options(const ThroughputOptions& options) {
   WorkloadOptions wl;
+  static_cast<traffic::LoadSpec&>(wl) = options;
   wl.concurrency = options.concurrency;
-  wl.inflight = options.inflight;
-  if (options.open_rate > 0.0) {
-    wl.shape = traffic::make_shape(options.shape, options.open_rate,
-                                   options.period_s, options.amplitude,
-                                   options.duty);
-  }
-  wl.duration_s = options.duration_s;
-  wl.slo_ns = static_cast<std::int64_t>(options.slo_us * 1e3);
-  wl.exact_cap = options.exact_cap;
-  wl.warmup = options.warmup;
   return wl;
 }
 
-void fill_latency(ThroughputResult& out, const WorkloadResult& run) {
+void fill_run(ThroughputResult& out, const WorkloadResult& run) {
   out.ops = run.ops;
   out.wall_seconds = run.wall_seconds;
   out.ops_per_sec = run.ops_per_sec;
-  const traffic::TrafficStats& t = run.traffic;
-  out.mean_us = t.mean_us;
-  out.p50_us = t.p50_us;
-  out.p95_us = t.p95_us;
-  out.p99_us = t.p99_us;
-  out.p999_us = t.p999_us;
-  out.p9999_us = t.p9999_us;
-  out.max_us = t.max_us;
-  out.slo_us = static_cast<double>(t.slo_ns) / 1e3;
-  out.slo_den = t.count;
-  out.slo_ok = t.slo_ok;
-  out.slo_attainment = t.slo_attainment;
-  out.hdr_recorder = !t.exact;
-  out.hdr_overflow = t.hdr_overflow;
-  out.record_threads = t.record_threads;
-  out.slo_phases = t.phases;
-  out.slo_high_den = t.high_count;
-  out.slo_high_ok = t.high_slo_ok;
-  out.slo_high_attainment = t.high_attainment;
-  out.slo_low_den = t.low_count;
-  out.slo_low_ok = t.low_slo_ok;
-  out.slo_low_attainment = t.low_attainment;
+  out.set_tail(run.traffic);
 }
 
 }  // namespace
@@ -129,16 +99,12 @@ ThroughputResult run_throughput(std::unique_ptr<CounterProtocol> protocol,
     out.elastic_final_k = elastic->current_k();
   }
 
-  fill_latency(out, run);
+  fill_run(out, run);
 
   if (history) {
     // Measured ops only: warmup slots never completed in the buffer and
     // are skipped by the snapshot.
-    const auto report =
-        check_linearizable(history->snapshot(options.warmup));
-    out.lin_checked = true;
-    out.linearizable = report.linearizable;
-    out.lin_violations = report.violations;
+    out.set_lin(check_linearizable(history->snapshot(options.warmup)));
   }
 
   const Metrics metrics = rt.merged_metrics();
@@ -214,7 +180,7 @@ KeyedThroughputResult run_keyed_throughput(
                  "some key's values are not a permutation of 0..ops_k-1");
   rt.protocol().check_quiescent(total);
 
-  fill_latency(out.base, run);
+  fill_run(out.base, run);
 
   const Metrics metrics = rt.merged_metrics();
   out.base.total_messages = metrics.total_messages();

@@ -92,7 +92,7 @@ std::string to_string(Placement p) {
 
 Placement placement_from_string(const std::string& name) {
   if (name.empty() || name == "none") return Placement::kNone;
-  if (name == "compact" || name == "pin") return Placement::kCompact;
+  if (name == "compact") return Placement::kCompact;
   if (name == "scatter") return Placement::kScatter;
   if (name == "tree") return Placement::kTree;
   DCNT_CHECK_MSG(false,

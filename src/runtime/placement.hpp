@@ -20,7 +20,6 @@
 //                        on consecutive shards — this policy turns that
 //                        adjacency into cache adjacency (parent/child
 //                        hand-offs stay within neighbouring cores).
-//   --pin                shorthand for compact
 //
 // Topology comes from sysfs (core_id / physical_package_id per online
 // CPU); where sysfs or pthread_setaffinity_np is unavailable the plan

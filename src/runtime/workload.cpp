@@ -75,14 +75,8 @@ WorkloadResult run_workload(ThreadedRuntime& rt,
     rt.reset_metrics();
   }
 
-  // The open-loop shape: an explicit shape wins, the legacy open_rate
-  // knob means "constant at that rate".
-  traffic::RateShape shape = options.shape;
-  if (shape.rate <= 0.0 && options.open_rate > 0.0) {
-    shape.kind = traffic::RateShape::Kind::kConstant;
-    shape.rate = options.open_rate;
-  }
-  const bool open_loop = shape.rate > 0.0;
+  const traffic::RateShape shape = options.rate_shape();
+  const bool open_loop = options.open_loop();
   const std::int64_t budget_ns =
       options.duration_s > 0.0
           ? static_cast<std::int64_t>(options.duration_s * 1e9)
@@ -94,12 +88,9 @@ WorkloadResult run_workload(ThreadedRuntime& rt,
 
   // Measured ops occupy ids warmup..warmup+issued-1; recorder slots for
   // the warmup range simply stay empty.
-  TailRecorder recorder(options.warmup + ops, options.slo_ns,
+  TailRecorder recorder(options.warmup + ops, options.slo_ns(),
                         options.exact_cap);
-  // Burst runs report SLO attainment split by the scheduled arrival's
-  // duty phase.
-  const bool split_phases =
-      open_loop && shape.kind == traffic::RateShape::Kind::kBurst;
+  const bool split_phases = options.split_phases();
   if (split_phases) recorder.enable_phases();
   // Coordination atomics deliberately use the default (seq_cst) order:
   // the finish condition below leans on the single total order across

@@ -33,46 +33,23 @@
 #include "concurrent/history.hpp"
 #include "runtime/threaded_runtime.hpp"
 #include "sim/types.hpp"
+#include "traffic/load.hpp"
 #include "traffic/recorder.hpp"
-#include "traffic/shape.hpp"
 
 namespace dcnt {
 
-struct WorkloadOptions {
+/// The traffic knobs (closed-loop inflight window, open-loop rate and
+/// shape, duration budget, SLO, exact_cap, warmup) come from
+/// traffic::LoadSpec. Warmup ops are issued closed-loop (same window,
+/// cycling through the initiator sequence) and run to quiescence before
+/// the measured phase; they are excluded from the recorder and the
+/// rates, and the runtime's metrics are reset afterwards, so message
+/// counts stay comparable to a no-warmup run. seed and lin_check are
+/// the harness' business: the driver records a history only into the
+/// buffer it is handed.
+struct WorkloadOptions : traffic::LoadSpec {
   /// Closed-loop clients; used when no open-loop rate is set.
   std::size_t concurrency{8};
-  /// Operations each closed-loop client keeps outstanding: the issue
-  /// window is concurrency * inflight ops wide (each completion still
-  /// triggers exactly one reissue, so the window never grows past its
-  /// seed). 1 reproduces the classic one-op-per-client closed loop
-  /// byte-for-byte. Ignored in open loop, where the backlog is whatever
-  /// the arrival timeline has scheduled past the system's service rate.
-  std::size_t inflight{1};
-  /// Legacy shorthand: if > 0 (and shape.rate == 0), open-loop issuance
-  /// at this constant rate (ops/second).
-  double open_rate{0.0};
-  /// Open-loop arrival shape; shape.rate > 0 selects open loop and
-  /// takes precedence over open_rate.
-  traffic::RateShape shape{};
-  /// If > 0: wall-clock budget in seconds. The run issues only the
-  /// schedule prefix that fits (open loop: arrivals scheduled before
-  /// the budget; closed loop: no reissues after the deadline), then
-  /// drains. 0 = run the whole initiator sequence.
-  double duration_s{0.0};
-  /// If > 0: latency SLO threshold in nanoseconds; the result's traffic
-  /// stats report the fraction of completed ops at or under it.
-  std::int64_t slo_ns{0};
-  /// Runs with more potential ops than this record into the HDR
-  /// histogram instead of exact per-op latency slots.
-  std::size_t exact_cap{traffic::TailRecorder::kDefaultExactCap};
-  /// Warmup operations issued (closed-loop, same concurrency, cycling
-  /// through the initiator sequence) and run to quiescence before the
-  /// measured phase. Excluded from the recorder and the rates, and the
-  /// runtime's metrics are reset afterwards — so cold-start costs
-  /// (thread wakeups, buffer growth, page faults) never pollute the
-  /// measured latencies, and message counts stay comparable to a
-  /// no-warmup run.
-  std::size_t warmup{0};
   /// Multi-key fabric workload: when non-empty (size must equal the
   /// initiator count), op i runs begin_op(initiators[i], {keys[i]})
   /// instead of a plain inc — the keyed entry point of

@@ -43,42 +43,20 @@ class SpinBarrier {
   std::atomic<std::uint64_t> phase_{0};
 };
 
-void fill_latency(ThroughputResult& out, const traffic::TrafficStats& t) {
-  out.mean_us = t.mean_us;
-  out.p50_us = t.p50_us;
-  out.p95_us = t.p95_us;
-  out.p99_us = t.p99_us;
-  out.p999_us = t.p999_us;
-  out.p9999_us = t.p9999_us;
-  out.max_us = t.max_us;
-  out.slo_us = static_cast<double>(t.slo_ns) / 1e3;
-  out.slo_den = t.count;
-  out.slo_ok = t.slo_ok;
-  out.slo_attainment = t.slo_attainment;
-  out.hdr_recorder = !t.exact;
-  out.hdr_overflow = t.hdr_overflow;
-  out.record_threads = t.record_threads;
-  out.slo_phases = t.phases;
-  out.slo_high_den = t.high_count;
-  out.slo_high_ok = t.high_slo_ok;
-  out.slo_high_attainment = t.high_attainment;
-  out.slo_low_den = t.low_count;
-  out.slo_low_ok = t.low_slo_ok;
-  out.slo_low_attainment = t.low_attainment;
-}
-
 }  // namespace
 
 ThroughputResult run_shm_throughput(ShmKind kind, const ShmOptions& options) {
   auto counter = make_shm_counter(kind);
   DCNT_CHECK(counter != nullptr);
+  DCNT_CHECK_MSG(options.duration_s <= 0.0,
+                 "the shm harness has no wall-clock budget (duration_s)");
 
   const std::size_t threads = options.threads > 0 ? options.threads : 1;
   const std::size_t ops = options.ops > 0 ? options.ops : 1;
   const std::size_t inflight = options.inflight > 0 ? options.inflight : 1;
   const std::size_t warmup = options.warmup;
   const bool tickets = counter->returns_value();
-  const bool open_loop = options.open_rate > 0.0;
+  const bool open_loop = options.open_loop();
   // The sampler only makes sense for counters whose read() is itself
   // linearizable mid-run (the sharded reduction). Ticket counters prove
   // their ordering through the values; flat/funnel read() is only exact
@@ -100,16 +78,9 @@ ThroughputResult run_shm_throughput(ShmKind kind, const ShmOptions& options) {
   out.placement_supported =
       options.placement == Placement::kNone || plan.supported;
 
-  traffic::TailRecorder recorder(
-      ops, static_cast<std::int64_t>(options.slo_us * 1e3),
-      options.exact_cap);
-  const traffic::RateShape rate_shape =
-      open_loop ? traffic::make_shape(options.shape, options.open_rate,
-                                      options.period_s, options.amplitude,
-                                      options.duty)
-                : traffic::RateShape{};
-  const bool phases =
-      open_loop && rate_shape.kind == traffic::RateShape::Kind::kBurst;
+  traffic::TailRecorder recorder(ops, options.slo_ns(), options.exact_cap);
+  const traffic::RateShape rate_shape = options.rate_shape();
+  const bool phases = options.split_phases();
   if (phases) recorder.enable_phases();
 
   // Open loop: the deterministic schedule, computed up front so workers
@@ -262,7 +233,7 @@ ThroughputResult run_shm_throughput(ShmKind kind, const ShmOptions& options) {
   out.ops_per_sec = out.wall_seconds > 0.0
                         ? static_cast<double>(ops) / out.wall_seconds
                         : 0.0;
-  fill_latency(out, recorder.stats());
+  out.set_tail(recorder.stats());
   out.pinned_workers = pinned.load(std::memory_order_acquire);
 
   // Exactness: every counter lands on precisely warmup + ops.
@@ -284,17 +255,9 @@ ThroughputResult run_shm_throughput(ShmKind kind, const ShmOptions& options) {
   }
 
   if (history) {
-    out.lin_checked = true;
-    if (tickets) {
-      const auto report = check_linearizable(history->snapshot());
-      out.linearizable = report.linearizable;
-      out.lin_violations = report.violations;
-    } else {
-      const auto report =
-          check_inc_read_linearizable(history->snapshot(), reads);
-      out.linearizable = report.linearizable;
-      out.lin_violations = report.violations;
-    }
+    out.set_lin(tickets
+                    ? check_linearizable(history->snapshot())
+                    : check_inc_read_linearizable(history->snapshot(), reads));
   }
   return out;
 }

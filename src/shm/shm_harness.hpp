@@ -39,36 +39,25 @@
 #include "harness/throughput.hpp"
 #include "runtime/placement.hpp"
 #include "shm/shm_counter.hpp"
-#include "traffic/recorder.hpp"
+#include "traffic/load.hpp"
 
 namespace dcnt::shm {
 
-struct ShmOptions {
+/// The traffic knobs come from traffic::LoadSpec, with shm meanings:
+/// `inflight` is the per-thread batch size (the shm meaning of
+/// --inflight F), `warmup` increments run before the threads
+/// barrier-sync into the measured phase, and `lin_check` captures the
+/// live history and checks it (ticket criterion, or inc/read for
+/// non-ticket counters). There is no wall-clock budget: duration_s must
+/// stay 0.
+struct ShmOptions : traffic::LoadSpec {
   /// Real threads driving the counter (the shm analogue of workers).
   std::size_t threads{4};
   /// Measured increments (split across threads by the shared cursor).
   std::size_t ops{1 << 14};
-  /// Per-thread batch size — the shm meaning of --inflight F.
-  std::size_t inflight{1};
-  /// Unrecorded increments before the measured phase (threads
-  /// barrier-sync between phases).
-  std::size_t warmup{0};
-  /// > 0: open-loop issuance at this mean rate; closed loop otherwise.
-  double open_rate{0.0};
-  std::string shape{"constant"};
-  double period_s{1.0};
-  double amplitude{0.5};
-  double duty{0.5};
-  /// > 0: SLO threshold in microseconds.
-  double slo_us{0.0};
-  std::size_t exact_cap{traffic::TailRecorder::kDefaultExactCap};
   /// Core placement for the harness threads (same policies as the
   /// runtime workers).
   Placement placement{Placement::kNone};
-  std::uint64_t seed{1};
-  /// Capture the live history and check it (ticket criterion, or
-  /// inc/read for non-ticket counters).
-  bool lin_check{true};
   /// Non-ticket counters: concurrent read() samples taken by the
   /// sampler thread for the inc/read check (0 disables the sampler).
   std::size_t read_samples{128};

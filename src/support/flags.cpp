@@ -66,11 +66,7 @@ T parse_value(const std::string& key, const std::string& text,
   const char* first = text.data();
   const char* last = first + text.size();
   const auto [end, ec] = std::from_chars(first, last, value);
-  if (ec != std::errc() || end != last) {
-    std::fprintf(stderr, "invalid value for --%s: '%s' (expected %s)\n",
-                 key.c_str(), text.c_str(), what);
-    std::exit(2);
-  }
+  if (ec != std::errc() || end != last) reject_flag_value(key, text, what);
   return value;
 }
 
@@ -82,6 +78,26 @@ std::int64_t parse_int_value(const std::string& key, const std::string& text) {
 
 double parse_double_value(const std::string& key, const std::string& text) {
   return parse_value<double>(key, text, "a number");
+}
+
+std::string parse_choice_value(const std::string& key, const std::string& text,
+                               const std::vector<std::string>& choices) {
+  for (const std::string& choice : choices) {
+    if (text == choice) return text;
+  }
+  std::string expected = "one of ";
+  for (std::size_t i = 0; i < choices.size(); ++i) {
+    if (i > 0) expected += '|';
+    expected += choices[i];
+  }
+  reject_flag_value(key, text, expected);
+}
+
+void reject_flag_value(const std::string& key, const std::string& text,
+                       const std::string& expected) {
+  std::fprintf(stderr, "invalid value for --%s: '%s' (expected %s)\n",
+               key.c_str(), text.c_str(), expected.c_str());
+  std::exit(2);
 }
 
 std::size_t threads_from_flags(const Flags& flags, const std::string& key) {

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 namespace dcnt {
 
@@ -36,6 +37,18 @@ class Flags {
 /// value to stderr and exits 2, as an unknown flag does.
 std::int64_t parse_int_value(const std::string& key, const std::string& text);
 double parse_double_value(const std::string& key, const std::string& text);
+
+/// Returns `text` if it is one of `choices`, the accepted values of
+/// flag `--key`; anything else is rejected as above, listing the
+/// choices.
+std::string parse_choice_value(const std::string& key, const std::string& text,
+                               const std::vector<std::string>& choices);
+
+/// Prints "invalid value for --key: 'text' (expected <expected>)" to
+/// stderr and exits 2 — the one way every malformed flag value fails.
+[[noreturn]] void reject_flag_value(const std::string& key,
+                                    const std::string& text,
+                                    const std::string& expected);
 
 /// The process-wide thread-count knob, shared by every binary that
 /// spins up workers (thread pools, the threaded runtime, benches):

@@ -171,5 +171,75 @@ TEST(BenchFlagsDeath, MalformedListItemExitsTwoAndNamesFlag) {
               testing::ExitedWithCode(2), "--k_list");
 }
 
+// Choice-valued flags (--dist, --placement, --backend, --shape) accept
+// exactly their vocabulary...
+TEST(BenchFlags, ChoiceValuesParseThrough) {
+  const std::vector<std::string> dists = {"roundrobin", "uniform", "zipf"};
+  EXPECT_EQ(parse_choice_value("dist", "zipf", dists), "zipf");
+  EXPECT_EQ(parse_choice_value("dist", "roundrobin", dists), "roundrobin");
+}
+
+// ...and anything else exits 2 naming the flag, instead of reaching
+// the DCNT_CHECK abort inside the harness.
+TEST(BenchFlagsDeath, UnknownChoiceExitsTwoAndNamesFlag) {
+  const std::vector<std::string> placements = {"none", "compact", "scatter",
+                                               "tree"};
+  EXPECT_EXIT(parse_choice_value("placement", "bogus", placements),
+              testing::ExitedWithCode(2),
+              "invalid value for --placement: 'bogus'");
+  EXPECT_EXIT(parse_choice_value("dist", "", {"roundrobin", "zipf"}),
+              testing::ExitedWithCode(2), "--dist");
+}
+
+Flags parse_shape(const std::vector<std::string>& args) {
+  static const std::vector<std::string> known = {"shape", "period",
+                                                 "amplitude", "duty"};
+  std::vector<std::string> argv = {"bench_x"};
+  argv.insert(argv.end(), args.begin(), args.end());
+  Argv a(argv);
+  return parse_bench_flags(a.argc(), a.argv(), "b", known);
+}
+
+TEST(BenchFlags, ShapeFlagsReadIntoTheSpec) {
+  traffic::LoadSpec spec;
+  read_shape_flags(parse_shape({"--shape=burst", "--period=0.5",
+                                "--amplitude=1", "--duty=0.25"}),
+                   true, spec);
+  EXPECT_EQ(spec.shape, "burst");
+  EXPECT_EQ(spec.period_s, 0.5);
+  EXPECT_EQ(spec.amplitude, 1.0);
+  EXPECT_EQ(spec.duty, 0.25);
+  // Absent flags keep the spec's values.
+  traffic::LoadSpec defaults;
+  read_shape_flags(parse_shape({}), true, defaults);
+  EXPECT_EQ(defaults.shape, "constant");
+  EXPECT_EQ(defaults.period_s, 1.0);
+}
+
+TEST(BenchFlags, ShapeRangesOnlyBindWhenOpenRowsRun) {
+  traffic::LoadSpec spec;
+  read_shape_flags(parse_shape({"--period=0", "--duty=1"}), false, spec);
+  EXPECT_EQ(spec.period_s, 0.0);
+  EXPECT_EQ(spec.duty, 1.0);
+}
+
+TEST(BenchFlagsDeath, BadShapeFlagsExitTwoAndNameTheFlag) {
+  traffic::LoadSpec spec;
+  EXPECT_EXIT(read_shape_flags(parse_shape({"--shape=bogus"}), false, spec),
+              testing::ExitedWithCode(2), "invalid value for --shape: 'bogus'");
+  EXPECT_EXIT(read_shape_flags(parse_shape({"--period=0"}), true, spec),
+              testing::ExitedWithCode(2), "invalid value for --period: '0'");
+  EXPECT_EXIT(read_shape_flags(parse_shape({"--period=nan"}), true, spec),
+              testing::ExitedWithCode(2), "--period");
+  EXPECT_EXIT(read_shape_flags(parse_shape({"--amplitude=1.5"}), true, spec),
+              testing::ExitedWithCode(2), "--amplitude");
+  EXPECT_EXIT(read_shape_flags(parse_shape({"--amplitude=-0.1"}), true, spec),
+              testing::ExitedWithCode(2), "--amplitude");
+  EXPECT_EXIT(read_shape_flags(parse_shape({"--duty=1"}), true, spec),
+              testing::ExitedWithCode(2), "--duty");
+  EXPECT_EXIT(read_shape_flags(parse_shape({"--duty=0"}), true, spec),
+              testing::ExitedWithCode(2), "--duty");
+}
+
 }  // namespace
 }  // namespace dcnt

@@ -255,7 +255,7 @@ TEST(Cluster, InlineDriveUdpLossyFiresTimersInline) {
 }
 
 TEST(Cluster, PipelinedClosedLoopKeepsInvariants) {
-  // --pipeline D multiplies the closed-loop window: every invariant the
+  // --inflight D multiplies the closed-loop window: every invariant the
   // D=1 runs check must survive D=8 — exact value permutation, the
   // quiescence barrier converging, and conservation (TCP wire sends ==
   // receives; m_p totals unchanged for chain protocols, see below).
@@ -263,7 +263,7 @@ TEST(Cluster, PipelinedClosedLoopKeepsInvariants) {
   opt.counter = "tree";
   opt.ops = 96;
   opt.concurrency = 8;
-  opt.pipeline = 8;
+  opt.inflight = 8;
   const ClusterResult r = run_cluster(opt);
   EXPECT_TRUE(r.values_ok);
   EXPECT_EQ(r.ops, 96u);
@@ -273,7 +273,7 @@ TEST(Cluster, PipelinedClosedLoopKeepsInvariants) {
 
 TEST(Cluster, PipelineDepthDoesNotChangeCentralMessageCount) {
   // For the central counter every inc costs exactly 2 messages
-  // regardless of interleaving, so m_p totals are pipeline-invariant:
+  // regardless of interleaving, so m_p totals are depth-invariant:
   // depth changes only WHEN messages fly, never HOW MANY. This is the
   // cluster-side statement of the paper's accounting — the bottleneck
   // quantity is a property of the protocol, not of the client's
@@ -282,9 +282,9 @@ TEST(Cluster, PipelineDepthDoesNotChangeCentralMessageCount) {
   opt.counter = "central";
   opt.min_processors = 16;
   opt.ops = 64;
-  opt.pipeline = 1;
+  opt.inflight = 1;
   const ClusterResult d1 = run_cluster(opt);
-  opt.pipeline = 8;
+  opt.inflight = 8;
   const ClusterResult d8 = run_cluster(opt);
   EXPECT_TRUE(d1.values_ok);
   EXPECT_TRUE(d8.values_ok);

@@ -148,13 +148,13 @@ TEST(PerfSmoke, NetCentralMpPinnedAcrossTransportAndPipeline) {
   EXPECT_EQ(tcp.max_load, 480);
   EXPECT_EQ(tcp.bottleneck, 0);
 
-  copt.pipeline = 8;
+  copt.inflight = 8;
   const net::ClusterResult tcp_d8 = net::run_cluster(copt);
   ASSERT_TRUE(tcp_d8.values_ok);
   EXPECT_EQ(tcp_d8.total_messages, 480);
   EXPECT_EQ(tcp_d8.max_load, 480);
 
-  copt.pipeline = 1;
+  copt.inflight = 1;
   copt.udp = true;
   // A clean loopback channel never needs a retransmission, but a
   // too-tight ack timeout can fire spuriously under queueing delay and

@@ -2,7 +2,8 @@
 // and LIVE linearizability of all four counters on real threads at
 // F ∈ {1, 64}, the flat-combining combiner-handoff edge case, the
 // funnel's budget hand-off, the inc/read checker's own edge cases, and
-// the placement layer (synthetic-topology plans + the pinning smoke).
+// the placement layer (synthetic-topology plans, policy names, the
+// pinning smoke) and the harness' refusal of a duration budget.
 #include "shm/shm_counter.hpp"
 
 #include <gtest/gtest.h>
@@ -340,6 +341,24 @@ TEST(PinningSmoke, HarnessAppliesOrReportsUnsupported) {
     EXPECT_EQ(r.pinned_workers, 0u);
   }
   EXPECT_TRUE(r.values_ok);
+}
+
+// The shm harness has no wall-clock budget: a LoadSpec duration is
+// refused up front rather than silently ignored.
+TEST(ShmHarnessDeath, RejectsDurationBudget) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ShmOptions o = small_run(1);
+  o.duration_s = 1.0;
+  EXPECT_DEATH(run_shm_throughput(ShmKind::kAtomic, o),
+               "no wall-clock budget");
+}
+
+// Only the four policy names parse; anything else aborts.
+TEST(PlacementNamesDeath, OnlyPolicyNamesParse) {
+  EXPECT_EQ(placement_from_string("compact"), Placement::kCompact);
+  EXPECT_EQ(placement_from_string("none"), Placement::kNone);
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(placement_from_string("pin"), "unknown placement");
 }
 
 TEST(PinningSmoke, SelfPinMatchesPlanSupport) {

@@ -1,6 +1,7 @@
 // The traffic engine (DESIGN.md §14): HDR histogram geometry and error
-// bounds, recorder mode agreement, arrival-timeline determinism, and
-// the multi-threaded record/merge paths the CI TSan job exercises.
+// bounds, recorder mode agreement, arrival-timeline determinism, the
+// multi-threaded record/merge paths the CI TSan job exercises, the
+// shared LoadSpec decisions, and how a run's tail lands in RunReport.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,8 +11,11 @@
 #include <thread>
 #include <vector>
 
+#include "concurrent/history.hpp"
+#include "harness/report.hpp"
 #include "support/stats.hpp"
 #include "traffic/histogram.hpp"
+#include "traffic/load.hpp"
 #include "traffic/recorder.hpp"
 #include "traffic/shape.hpp"
 
@@ -410,6 +414,135 @@ TEST(ArrivalTimeline, BurstConcentratesArrivalsInHighPhase) {
       count_arrivals(shape, period * duty, 1 << 20);  // first high phase
   const double uniform_share = rate * period * duty;  // what constant gives
   EXPECT_GT(static_cast<double>(in_high), 3.0 * uniform_share);
+}
+
+// ---------------------------------------------------------------------
+// LoadSpec: the one place every harness decides open vs closed loop,
+// the arrival shape and the burst phase split.
+
+TEST(LoadSpec, ClosedLoopHasNoShapeAndNoSplit) {
+  LoadSpec spec;
+  spec.shape = "burst";  // ignored without a rate
+  EXPECT_FALSE(spec.open_loop());
+  EXPECT_EQ(spec.rate_shape().rate, 0.0);
+  EXPECT_FALSE(spec.split_phases());
+}
+
+TEST(LoadSpec, OpenLoopBuildsTheShapeAndOnlyBurstSplits) {
+  LoadSpec spec;
+  spec.open_rate = 20'000;
+  spec.period_s = 0.25;
+  spec.amplitude = 0.75;
+  spec.duty = 0.125;
+  const std::pair<const char*, RateShape::Kind> kinds[] = {
+      {"constant", RateShape::Kind::kConstant},
+      {"diurnal", RateShape::Kind::kDiurnal},
+      {"burst", RateShape::Kind::kBurst}};
+  for (const auto& [name, kind] : kinds) {
+    spec.shape = name;
+    EXPECT_TRUE(spec.open_loop());
+    const RateShape shape = spec.rate_shape();
+    EXPECT_EQ(shape.kind, kind) << name;
+    EXPECT_EQ(shape.rate, 20'000);
+    EXPECT_EQ(shape.period_s, 0.25);
+    EXPECT_EQ(shape.amplitude, 0.75);
+    EXPECT_EQ(shape.duty, 0.125);
+    EXPECT_EQ(spec.split_phases(), kind == RateShape::Kind::kBurst) << name;
+  }
+}
+
+TEST(LoadSpec, SloConvertsToNanoseconds) {
+  LoadSpec spec;
+  EXPECT_EQ(spec.slo_ns(), 0);
+  spec.slo_us = 250.5;
+  EXPECT_EQ(spec.slo_ns(), 250'500);
+}
+
+// ---------------------------------------------------------------------
+// RunReport: every TrafficStats field gets a distinct sentinel, and
+// every RunReport field is checked — the ones set_tail fills against
+// their source, the rest against their untouched defaults.
+
+TEST(RunReport, SetTailCopiesEveryTrafficField) {
+  TrafficStats t;
+  t.count = 101;
+  t.mean_us = 1.5;
+  t.p50_us = 2.5;
+  t.p95_us = 3.5;
+  t.p99_us = 4.5;
+  t.p999_us = 5.5;
+  t.p9999_us = 6.5;
+  t.max_us = 7.5;
+  t.slo_ns = 8'500;
+  t.slo_ok = 102;
+  t.slo_attainment = 0.25;
+  t.hdr_overflow = 103;
+  t.record_threads = 104;
+  t.exact = false;
+  t.phases = true;
+  t.high_count = 105;
+  t.high_slo_ok = 106;
+  t.high_attainment = 0.375;
+  t.low_count = 107;
+  t.low_slo_ok = 108;
+  t.low_attainment = 0.625;
+
+  RunReport r;
+  r.set_tail(t);
+  EXPECT_EQ(r.mean_us, 1.5);
+  EXPECT_EQ(r.p50_us, 2.5);
+  EXPECT_EQ(r.p95_us, 3.5);
+  EXPECT_EQ(r.p99_us, 4.5);
+  EXPECT_EQ(r.p999_us, 5.5);
+  EXPECT_EQ(r.p9999_us, 6.5);
+  EXPECT_EQ(r.max_us, 7.5);
+  EXPECT_EQ(r.slo_us, 8.5);
+  EXPECT_EQ(r.slo_den, 101);
+  EXPECT_EQ(r.slo_ok, 102);
+  EXPECT_EQ(r.slo_attainment, 0.25);
+  EXPECT_TRUE(r.hdr_recorder);
+  EXPECT_EQ(r.hdr_overflow, 103);
+  EXPECT_EQ(r.record_threads, 104u);
+  EXPECT_TRUE(r.slo_phases);
+  EXPECT_EQ(r.slo_high_den, 105);
+  EXPECT_EQ(r.slo_high_ok, 106);
+  EXPECT_EQ(r.slo_high_attainment, 0.375);
+  EXPECT_EQ(r.slo_low_den, 107);
+  EXPECT_EQ(r.slo_low_ok, 108);
+  EXPECT_EQ(r.slo_low_attainment, 0.625);
+  // Not the tail's business: the harness fills these itself.
+  EXPECT_EQ(r.counter, "");
+  EXPECT_EQ(r.n, 0u);
+  EXPECT_EQ(r.ops, 0u);
+  EXPECT_EQ(r.warmup, 0u);
+  EXPECT_FALSE(r.values_ok);
+  EXPECT_EQ(r.wall_seconds, 0.0);
+  EXPECT_EQ(r.ops_per_sec, 0.0);
+  EXPECT_FALSE(r.lin_checked);
+  EXPECT_FALSE(r.linearizable);
+  EXPECT_EQ(r.lin_violations, 0);
+  EXPECT_EQ(r.total_messages, 0);
+  EXPECT_EQ(r.max_load, 0);
+  EXPECT_EQ(r.bottleneck, kNoProcessor);
+
+  t.exact = true;
+  r.set_tail(t);
+  EXPECT_FALSE(r.hdr_recorder);
+}
+
+TEST(RunReport, SetLinRecordsTheVerdict) {
+  LinearizabilityReport bad;
+  bad.linearizable = false;
+  bad.violations = 7;
+  RunReport r;
+  r.set_lin(bad);
+  EXPECT_TRUE(r.lin_checked);
+  EXPECT_FALSE(r.linearizable);
+  EXPECT_EQ(r.lin_violations, 7);
+  r.set_lin(LinearizabilityReport{});
+  EXPECT_TRUE(r.lin_checked);
+  EXPECT_TRUE(r.linearizable);
+  EXPECT_EQ(r.lin_violations, 0);
 }
 
 }  // namespace
