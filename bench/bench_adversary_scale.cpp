@@ -112,8 +112,7 @@ int main(int argc, char** argv) {
       argc, argv,
       "PERF-ADV: adversary/explorer scaling — clone cost, dry-run throughput, thread scaling",
       {"counter", "full_max_n", "n_list", "out", "repeats", "sample", "schedule_samples", "seed", "threads", "threads_list"});
-  const CounterKind kind =
-      counter_kind_from_string(flags.get_string("counter", "combining"));
+  const CounterKind kind = read_counter_kind(flags, "counter", "combining");
   const auto n_list = parse_int_list(flags, "n_list", "64,256,1024");
   // 0 in threads_list = auto via the shared knob (--threads, then the
   // DCNT_THREADS env, else all hardware threads).

@@ -116,7 +116,8 @@ int main(int argc, char** argv) {
        "key_skews", "keys_list", "n", "nodes", "open_rate", "ops", "out",
        "quick", "seed", "shape", "slo_us", "warmup", "workers_list"});
   const bool quick = flags.get_bool("quick", false);
-  const std::string counter = flags.get_string("counter", "central");
+  const CounterKind kind = read_counter_kind(flags, "counter", "central");
+  const std::string counter = to_string(kind);
   const std::int64_t n = flags.get_int("n", quick ? 8 : 16);
   auto keys_list =
       parse_int_list(flags, "keys_list", quick ? "1,64" : "1,1000,100000");
@@ -125,8 +126,7 @@ int main(int argc, char** argv) {
   auto workers_list =
       parse_int_list(flags, "workers_list", quick ? "2" : "1,4");
   const std::int64_t ops_flag = flags.get_int("ops", 0);
-  const auto key_capacity =
-      static_cast<std::size_t>(flags.get_int("key_capacity", 0));
+  const std::size_t key_capacity = read_key_capacity(flags, kind);
   const auto concurrency =
       static_cast<std::size_t>(flags.get_int("concurrency", 16));
   const auto warmup =
@@ -150,7 +150,6 @@ int main(int argc, char** argv) {
   read_shape_flags(flags, open_rate > 0.0, open);
   open.slo_us = flags.get_double("slo_us", quick ? 1000.0 : 0.0);
 
-  const CounterKind kind = counter_kind_from_string(counter);
   const std::size_t procs = make_counter(kind, n)->num_processors();
   // Ops per row: enough to touch a large keyspace several times over,
   // bounded so the 100k-key row stays seconds, not minutes.

@@ -126,8 +126,8 @@ int main(int argc, char** argv) {
        "duty", "exact_cap", "inflight_list", "loops", "n", "nodes",
        "ops_factor", "out", "period", "pipelines", "rates", "seed", "shape",
        "shards_per_node", "slo_us", "warmup"});
-  const auto counters =
-      parse_string_list(flags.get_string("counters", "tree,central"));
+  const auto counters = parse_choice_list(flags, "counters", "tree,central",
+                                          counter_kind_names());
   const std::int64_t n = flags.get_int("n", 16);
   const auto nodes = static_cast<std::uint32_t>(flags.get_int("nodes", 4));
   const std::int64_t ops_factor = flags.get_int("ops_factor", 16);

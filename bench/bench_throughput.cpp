@@ -110,8 +110,19 @@ int main(int argc, char** argv) {
        "shm_threads_list", "slo_us", "threads", "warmup", "workers_list",
        "zipf_s"});
   const bool quick = flags.get_bool("quick", false);
-  const auto counters = parse_string_list(flags.get_string(
-      "counters", quick ? "tree,central" : "tree,central,combining,diffracting"));
+  // Counter names are checked up front (exit 2 naming the flag): the
+  // message-passing kinds, and for the closed sweep the shm counters too.
+  const std::vector<std::string> kinds = counter_kind_names();
+  std::vector<std::string> shm_names;
+  for (const shm::ShmKind kind : shm::all_shm_kinds()) {
+    shm_names.push_back(shm::to_string(kind));
+  }
+  std::vector<std::string> closed_names = kinds;
+  closed_names.insert(closed_names.end(), shm_names.begin(), shm_names.end());
+  const auto counters = parse_choice_list(
+      flags, "counters",
+      quick ? "tree,central" : "tree,central,combining,diffracting",
+      closed_names);
   const auto workers_list = parse_int_list(
       flags, "workers_list", quick ? "1,2" : "1,2,4,8");
   const std::int64_t n = flags.get_int("n", quick ? 8 : 16);
@@ -134,11 +145,14 @@ int main(int argc, char** argv) {
       flags, "rates", quick ? "20000" : "");
   // Open rows may target a subset of the closed-sweep counters: the
   // over-saturation series needs a counter whose per-outstanding-op
-  // cost is flat (central), while the closed sweep keeps them all.
-  const auto open_counters = parse_string_list(
-      flags.get_string("open_counters", flags.get_string(
-          "counters", quick ? "tree,central"
-                            : "tree,central,combining,diffracting")));
+  // cost is flat (central), while the closed sweep keeps them all. The
+  // default follows --counters, whose shm names only bind when open rows
+  // run (the open rows drive message-passing counters only).
+  const auto open_counters = parse_choice_list(
+      flags, "open_counters",
+      flags.get_string("counters", quick ? "tree,central"
+                                         : "tree,central,combining,diffracting"),
+      rates.empty() ? closed_names : kinds);
   const auto open_ops_list = parse_int_list(
       flags, "open_ops_list", quick ? "4000" : "1000000");
   const auto open_workers =
@@ -147,9 +161,10 @@ int main(int argc, char** argv) {
   // the section.
   const auto inflight_list =
       parse_int_list(flags, "inflight_list", quick ? "1,8" : "1,8,64,256");
-  const auto conc_counters = parse_string_list(flags.get_string(
-      "conc_counters", quick ? "tree,central,diffracting"
-                             : "tree,central,combining,diffracting"));
+  const auto conc_counters = parse_choice_list(
+      flags, "conc_counters",
+      quick ? "tree,central,diffracting" : "tree,central,combining,diffracting",
+      kinds);
   const auto conc_workers =
       static_cast<std::size_t>(flags.get_int("conc_workers", quick ? 2 : 4));
   // SHM re-ranking sweep.
@@ -157,19 +172,18 @@ int main(int argc, char** argv) {
                                                "tree"};
   const Placement placement = placement_from_string(parse_choice_value(
       "placement", flags.get_string("placement", "none"), placements));
-  const auto shm_counters = parse_string_list(flags.get_string(
-      "shm_counters", "shm-atomic,shm-flat,shm-funnel,shm-sharded"));
+  const auto shm_counters = parse_choice_list(
+      flags, "shm_counters", "shm-atomic,shm-flat,shm-funnel,shm-sharded",
+      shm_names);
   const auto shm_threads_list = parse_int_list(
       flags, "shm_threads_list", quick ? "1,2" : "1,2,4");
   const auto shm_inflight_list =
       parse_int_list(flags, "shm_inflight_list", "1,64");
-  const auto shm_placements = parse_string_list(
-      flags.get_string("shm_placements", "none,compact"));
-  for (const std::string& place : shm_placements) {
-    parse_choice_value("shm_placements", place, placements);
-  }
-  const auto shm_msg_counters = parse_string_list(flags.get_string(
-      "shm_msg_counters", quick ? "tree,central" : "tree,central,combining"));
+  const auto shm_placements =
+      parse_choice_list(flags, "shm_placements", "none,compact", placements);
+  const auto shm_msg_counters = parse_choice_list(
+      flags, "shm_msg_counters",
+      quick ? "tree,central" : "tree,central,combining", kinds);
   const auto shm_ops = static_cast<std::size_t>(
       flags.get_int("shm_ops", quick ? 2048 : 32768));
   const double shm_rate =

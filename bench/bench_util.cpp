@@ -79,6 +79,31 @@ std::vector<std::string> parse_string_list(const std::string& text) {
   return out;
 }
 
+std::vector<std::string> parse_choice_list(
+    const Flags& flags, const std::string& key, const std::string& fallback,
+    const std::vector<std::string>& choices) {
+  std::vector<std::string> out =
+      parse_string_list(flags.get_string(key, fallback));
+  for (const std::string& item : out) parse_choice_value(key, item, choices);
+  return out;
+}
+
+CounterKind read_counter_kind(const Flags& flags, const std::string& key,
+                              const std::string& fallback) {
+  return counter_kind_from_string(parse_choice_value(
+      key, flags.get_string(key, fallback), counter_kind_names()));
+}
+
+std::size_t read_key_capacity(const Flags& flags, CounterKind kind) {
+  const std::int64_t capacity = flags.get_int("key_capacity", 0);
+  if (capacity < 0 ||
+      (capacity > 0 && !make_counter(kind, 2)->service_evictable())) {
+    reject_flag_value("key_capacity", flags.get_string("key_capacity", ""),
+                      "0, or > 0 with a service-evictable --counter (central)");
+  }
+  return static_cast<std::size_t>(capacity);
+}
+
 void read_shape_flags(const Flags& flags, bool open, traffic::LoadSpec& spec) {
   spec.shape = parse_choice_value("shape", flags.get_string("shape", spec.shape),
                                   {"constant", "burst", "diurnal"});

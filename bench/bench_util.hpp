@@ -18,6 +18,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "harness/factory.hpp"
 #include "support/flags.hpp"
 #include "traffic/load.hpp"
 
@@ -47,6 +48,24 @@ std::vector<double> parse_double_list(const Flags& flags,
 
 /// "tree,central" -> {"tree", "central"}.
 std::vector<std::string> parse_string_list(const std::string& text);
+
+/// parse_string_list of flag `--key` (or `fallback` when absent), each
+/// item checked by parse_choice_value against `choices`: an item
+/// outside them exits 2 naming the flag.
+std::vector<std::string> parse_choice_list(
+    const Flags& flags, const std::string& key, const std::string& fallback,
+    const std::vector<std::string>& choices);
+
+/// The counter named by flag `--key` (or `fallback` when absent): one of
+/// counter_kind_names(), anything else exits 2 naming the flag.
+CounterKind read_counter_kind(const Flags& flags, const std::string& key,
+                              const std::string& fallback);
+
+/// Flag --key_capacity (absent = 0, an unbounded key directory). A cap
+/// evicts counter instances, which only a service-evictable `kind`
+/// allows (its state collapses to one durable value); a cap on any
+/// other counter exits 2 naming the flag.
+std::size_t read_key_capacity(const Flags& flags, CounterKind kind);
 
 /// Reads the open-loop shape flags --shape, --period, --amplitude and
 /// --duty into `spec` (an absent flag keeps spec's value). Values

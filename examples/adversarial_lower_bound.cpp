@@ -12,7 +12,8 @@
 int main(int argc, char** argv) {
   using namespace dcnt;
   const Flags flags(argc, argv);
-  const std::string kind_name = flags.get_string("counter", "tree");
+  const std::string kind_name = parse_choice_value(
+      "counter", flags.get_string("counter", "tree"), counter_kind_names());
   const std::int64_t n = flags.get_int("n", 64);
   const bool verbose = flags.get_bool("verbose", false);
 

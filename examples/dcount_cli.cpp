@@ -28,8 +28,8 @@ using namespace dcnt;
 
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
-  const CounterKind kind =
-      counter_kind_from_string(flags.get_string("counter", "tree"));
+  const CounterKind kind = counter_kind_from_string(parse_choice_value(
+      "counter", flags.get_string("counter", "tree"), counter_kind_names()));
   const std::int64_t min_n = flags.get_int("n", 81);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
 

@@ -1,75 +1,109 @@
 #include "concurrent/history.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <numeric>
 
 #include "support/check.hpp"
 
 namespace dcnt {
 
+namespace {
+
+// Indices of `history` ordered by value, ties in history order. A dense
+// run of values (every harness history: a counter hands out 0..m-1, or
+// a slice of it) is placed by counting in O(m); sparser values pay one
+// stable sort.
+std::vector<std::size_t> order_by_value(
+    const std::vector<CounterOpRecord>& history) {
+  const std::size_t m = history.size();
+  const auto [lo, hi] = std::minmax_element(
+      history.begin(), history.end(),
+      [](const CounterOpRecord& a, const CounterOpRecord& b) {
+        return a.value < b.value;
+      });
+  // Unsigned wrap-around gives the exact width even across zero.
+  const std::uint64_t span = static_cast<std::uint64_t>(hi->value) -
+                             static_cast<std::uint64_t>(lo->value);
+  std::vector<std::size_t> order(m);
+  if (span < 2 * static_cast<std::uint64_t>(m)) {
+    std::vector<std::size_t> next(span + 2, 0);
+    const auto slot = [&](const CounterOpRecord& r) {
+      return static_cast<std::size_t>(static_cast<std::uint64_t>(r.value) -
+                                      static_cast<std::uint64_t>(lo->value));
+    };
+    for (const CounterOpRecord& r : history) ++next[slot(r) + 1];
+    std::partial_sum(next.begin(), next.end(), next.begin());
+    for (std::size_t i = 0; i < m; ++i) order[next[slot(history[i])]++] = i;
+  } else {
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return history[a].value < history[b].value;
+                     });
+  }
+  return order;
+}
+
+}  // namespace
+
 LinearizabilityReport check_linearizable(
-    std::vector<CounterOpRecord> history) {
+    const std::vector<CounterOpRecord>& history) {
   LinearizabilityReport report;
   if (history.empty()) return report;
+  const std::vector<std::size_t> order = order_by_value(history);
 
   // A counter hands out distinct values; two ops returning the same
   // value cannot both be legal in any sequential witness, so duplicates
-  // are violations in their own right (and would confuse the sweep's
-  // max-value bookkeeping below, so they are rejected up front).
-  {
-    std::vector<CounterOpRecord> by_value = history;
-    std::sort(by_value.begin(), by_value.end(),
-              [](const CounterOpRecord& a, const CounterOpRecord& b) {
-                return a.value < b.value;
-              });
-    for (std::size_t i = 1; i < by_value.size(); ++i) {
-      if (by_value[i].value == by_value[i - 1].value) {
-        ++report.duplicate_values;
-        ++report.violations;
-        if (report.linearizable) {
-          report.linearizable = false;
-          report.first_a = by_value[i - 1].op;
-          report.first_b = by_value[i].op;
-        }
-      }
+  // are violations in their own right (and would confuse the sweep
+  // below, so they are rejected up front).
+  for (std::size_t i = 1; i < order.size(); ++i) {
+    const CounterOpRecord& a = history[order[i - 1]];
+    const CounterOpRecord& b = history[order[i]];
+    if (a.value != b.value) continue;
+    ++report.duplicate_values;
+    ++report.violations;
+    if (report.linearizable) {
+      report.linearizable = false;
+      report.first_a = a.op;
+      report.first_b = b.op;
     }
-    if (!report.linearizable) return report;
   }
+  if (!report.linearizable) return report;
 
-  // Sweep invocations in time order; maintain the maximum value among
-  // operations that had already responded strictly earlier. A violation
-  // is an invocation whose (eventual) value undercuts that maximum.
-  std::vector<CounterOpRecord> by_inv = history;
-  std::sort(by_inv.begin(), by_inv.end(),
-            [](const CounterOpRecord& a, const CounterOpRecord& b) {
-              return a.invoked < b.invoked;
-            });
-  std::vector<CounterOpRecord> by_resp = history;
-  std::sort(by_resp.begin(), by_resp.end(),
-            [](const CounterOpRecord& a, const CounterOpRecord& b) {
-              return a.responded < b.responded;
-            });
-
-  std::size_t resp_idx = 0;
-  Value max_completed_value = -1;
-  OpId max_completed_op = kNoOp;
-  for (const CounterOpRecord& b : by_inv) {
-    while (resp_idx < by_resp.size() &&
-           by_resp[resp_idx].responded < b.invoked) {
-      if (by_resp[resp_idx].value > max_completed_value) {
-        max_completed_value = by_resp[resp_idx].value;
-        max_completed_op = by_resp[resp_idx].op;
-      }
-      ++resp_idx;
-    }
-    if (max_completed_value > b.value) {
+  // Sweep values downward, carrying the earliest response among the
+  // larger values: B violates iff some op with a larger value responded
+  // before inv(B). The earliest-invoked violator (ties: first in the
+  // history) is reported as first_b.
+  SimTime earliest_larger = std::numeric_limits<SimTime>::max();
+  std::size_t first_b = order.size();
+  for (std::size_t i = order.size(); i-- > 0;) {
+    const CounterOpRecord& b = history[order[i]];
+    if (earliest_larger < b.invoked) {
       ++report.violations;
-      if (report.linearizable) {
-        report.linearizable = false;
-        report.first_a = max_completed_op;
-        report.first_b = b.op;
+      if (first_b == order.size() ||
+          b.invoked < history[first_b].invoked ||
+          (b.invoked == history[first_b].invoked && order[i] < first_b)) {
+        first_b = order[i];
       }
     }
+    earliest_larger = std::min(earliest_larger, b.responded);
   }
+  if (report.violations == 0) return report;
+
+  // first_a: the largest value among the ops that responded before
+  // first_b was invoked.
+  const CounterOpRecord& b = history[first_b];
+  const CounterOpRecord* a = nullptr;
+  for (const CounterOpRecord& r : history) {
+    if (r.responded < b.invoked && (a == nullptr || r.value > a->value)) {
+      a = &r;
+    }
+  }
+  DCNT_CHECK(a != nullptr);
+  report.linearizable = false;
+  report.first_a = a->op;
+  report.first_b = b.op;
   return report;
 }
 

@@ -10,6 +10,8 @@ namespace dcnt {
 
 namespace {
 constexpr NodeId kLeafTarget = -1;  // kTagNewId addressed to a leaf
+/// Ceiling of the window-aware threshold, as a multiple of the base.
+constexpr std::int64_t kThresholdCapFactor = 16;
 }
 
 TreeService::TreeService(TreeServiceParams params)
@@ -17,6 +19,11 @@ TreeService::TreeService(TreeServiceParams params)
       threshold_(params.age_threshold == 0
                      ? 4 * static_cast<std::int64_t>(params.k)
                      : params.age_threshold),
+      // The no-retirement ablation (INT64_MAX) must not overflow.
+      threshold_cap_(threshold_ > std::numeric_limits<std::int64_t>::max() /
+                                      kThresholdCapFactor
+                         ? threshold_
+                         : kThresholdCapFactor * threshold_),
       count_handover_in_age_(params.count_handover_in_age),
       self_healing_(params.self_healing),
       inc_retry_timeout_(params.inc_retry_timeout),
@@ -43,6 +50,7 @@ TreeService::TreeService(TreeServiceParams params)
     const ProcessorId pid = layout_.initial_pid(node);
     Role role;
     role.node = node;
+    role.threshold = threshold_;
     const NodeId up = layout_.parent(node);
     role.parent_pid = up == kNoNode ? kNoProcessor : layout_.initial_pid(up);
     role.child_pids.resize(static_cast<std::size_t>(layout_.k()));
@@ -132,7 +140,7 @@ void TreeService::start_op(Context& ctx, ProcessorId origin, OpId /*op*/,
 void TreeService::on_message(Context& ctx, const Message& msg) {
   const ProcessorId self = msg.dst;
   auto& ps = procs_[static_cast<std::size_t>(self)];
-  switch (msg.tag) {
+  switch (msg.tag & ~kForwarded) {
     case kTagValue:
       if (self_healing_) {
         // A replayed or late reply for an op we already completed is
@@ -178,9 +186,10 @@ void TreeService::on_message(Context& ctx, const Message& msg) {
         DCNT_CHECK(!pt->has_main);
         pt->has_main = true;
         pt->parent_pid = static_cast<ProcessorId>(msg.args.at(1));
+        pt->threshold = msg.args.at(2);
         if (self_healing_ && node == 0) {
           // Root handover ships the exactly-once machinery too.
-          std::size_t i = 2;
+          std::size_t i = 3;
           pt->backup_next_seq = msg.args.at(i++);
           const auto jn = static_cast<std::size_t>(msg.args.at(i++));
           pt->journal.resize(jn);
@@ -200,7 +209,7 @@ void TreeService::on_message(Context& ctx, const Message& msg) {
           pt->state.assign(msg.args.begin() + static_cast<std::ptrdiff_t>(i),
                            msg.args.end());
         } else {
-          pt->state.assign(msg.args.begin() + 2, msg.args.end());
+          pt->state.assign(msg.args.begin() + 3, msg.args.end());
         }
       } else {
         const auto idx = static_cast<std::size_t>(msg.args.at(1));
@@ -254,9 +263,11 @@ void TreeService::route_node_message(Context& ctx, ProcessorId self,
   if (ProcessorId* succ = find_forward(ps, target)) {
     // We retired from this role; pass the message along to the successor
     // (the "constant number of extra messages" handshake of the paper).
+    // The mark tells the holder its id was stale when the message left.
     Message fwd = msg;
     fwd.src = self;
     fwd.dst = *succ;
+    fwd.tag |= kForwarded;
     ++stats_.forwarded_messages;
     ctx.send(std::move(fwd));
     return;
@@ -270,13 +281,15 @@ void TreeService::route_node_message(Context& ctx, ProcessorId self,
 
 void TreeService::handle_role_message(Context& ctx, ProcessorId self,
                                       Role& role, const Message& msg) {
-  if (msg.tag == kTagBackupAck) {
+  const std::int32_t tag = msg.tag & ~kForwarded;
+  if (tag != msg.tag) ++role.forwarded_in;
+  if (tag == kTagBackupAck) {
     DCNT_CHECK(self_healing_ && role.node == 0);
     // Replication bookkeeping, not tree traffic: no age bump.
     handle_backup_ack(ctx, self, role, msg);
     return;
   }
-  if (msg.tag == kTagInc) {
+  if (tag == kTagInc) {
     const auto origin = static_cast<ProcessorId>(msg.args.at(0));
     if (role.node == 0 && self_healing_) {
       handle_root_op(ctx, self, role, msg);
@@ -300,13 +313,14 @@ void TreeService::handle_role_message(Context& ctx, ProcessorId self,
       Message up = msg;  // preserves op and op_args
       up.src = self;
       up.dst = role.parent_pid;
+      up.tag = kTagInc;
       up.args[1] = layout_.parent(role.node);
       ctx.send(std::move(up));
     }
     bump_age(ctx, self, role, 2, msg.op);
     return;
   }
-  DCNT_CHECK(msg.tag == kTagNewId);
+  DCNT_CHECK(tag == kTagNewId);
   const NodeId retiring = msg.args.at(1);
   const auto new_pid = static_cast<ProcessorId>(msg.args.at(2));
   if (layout_.parent(role.node) == retiring) {
@@ -330,7 +344,7 @@ void TreeService::handle_role_message(Context& ctx, ProcessorId self,
 void TreeService::bump_age(Context& ctx, ProcessorId self, Role& role,
                            std::int64_t amount, OpId op) {
   role.age += amount;
-  if (role.age >= threshold_) {
+  if (role.age >= role.threshold) {
     // Copy: retire() erases the role from the vector we point into.
     const Role copy = role;
     retire(ctx, self, copy, op);
@@ -358,6 +372,17 @@ void TreeService::retire(Context& ctx, ProcessorId self, const Role& role,
   ++stats_.retirements_total;
   ++stats_.retirements_by_level[static_cast<std::size_t>(level)];
 
+  // Window-aware age: more than k forwarded arrivals in one incumbency
+  // mean the role moved faster than news of its moves spread, so the
+  // successor holds it twice as long (up to the cap); a quiet
+  // incumbency halves it back towards the base. The sequential model
+  // forwards almost nothing, so it keeps the base.
+  const std::int64_t next_threshold =
+      role.forwarded_in > k
+          ? (role.threshold > threshold_cap_ / 2 ? threshold_cap_
+                                                 : 2 * role.threshold)
+          : std::max(role.threshold / 2, threshold_);
+
   if (succ == self) {
     // Degenerate pool of size 1 (level-k nodes under aggressive
     // thresholds): "retire" to ourselves — just reset the age.
@@ -365,6 +390,8 @@ void TreeService::retire(Context& ctx, ProcessorId self, const Role& role,
     Role* live = find_role(ps, node);
     DCNT_CHECK(live != nullptr);
     live->age = count_handover_in_age_ ? k + 1 : 0;
+    live->threshold = next_threshold;
+    live->forwarded_in = 0;
     return;
   }
   if (succ == layout_.pool_begin(node)) ++stats_.pool_wraps;
@@ -389,7 +416,7 @@ void TreeService::retire(Context& ctx, ProcessorId self, const Role& role,
     m.src = self;
     m.dst = succ;
     m.tag = kTagTakeOver;
-    m.args = {node, role.parent_pid};
+    m.args = {node, role.parent_pid, next_threshold};
     if (self_healing_ && node == 0) {
       m.args.push_back(role.backup_next_seq);
       m.args.push_back(static_cast<std::int64_t>(role.journal.size()));
@@ -453,6 +480,7 @@ void TreeService::commit_takeover(Context& ctx, ProcessorId self,
   role.child_pids = pt.child_pids;
   role.state = pt.state;
   role.age = count_handover_in_age_ ? layout_.k() + 1 : 0;
+  role.threshold = pt.threshold;
   if (self_healing_ && pt.node == 0) {
     role.journal = pt.journal;
     role.gated = pt.gated;
@@ -490,7 +518,8 @@ void TreeService::drain_stash(Context& ctx, ProcessorId self, NodeId node) {
   auto& ps = procs_[static_cast<std::size_t>(self)];
   std::vector<Message> parked;
   for (auto it = ps.stash.begin(); it != ps.stash.end();) {
-    const NodeId target = it->tag == kTagInc ? it->args.at(1) : it->args.at(0);
+    const NodeId target =
+        (it->tag & ~kForwarded) == kTagInc ? it->args.at(1) : it->args.at(0);
     if (target == node) {
       parked.push_back(std::move(*it));
       it = ps.stash.erase(it);
@@ -707,6 +736,7 @@ void TreeService::handle_promote(Context& ctx, ProcessorId self,
   Role role;
   role.node = node;
   role.age = 0;
+  role.threshold = threshold_;
   role.child_pids.resize(static_cast<std::size_t>(k));
   if (node == 0) {
     role.parent_pid = kNoProcessor;

@@ -21,12 +21,19 @@
 // Protocol recap (see tree_counter.hpp for the counter-specific story):
 // leaves forward operations up a fan-out-k tree; the root incumbent
 // applies them; inner nodes age by two per forwarded message and one
-// per notification, retire at the (configurable, default 4k) threshold,
-// handing their role to the next processor of their disjoint id pool
-// with k+1 short messages and notifying parent and children with k+1
-// more. Misdirected messages are forwarded by ex-incumbents; messages
-// that beat their own handover are stashed until it commits. All extra
-// messages are counted.
+// per notification, retire at their role's threshold, handing the role
+// to the next processor of their disjoint id pool with k+1 short
+// messages and notifying parent and children with k+1 more.
+// Misdirected messages are forwarded by ex-incumbents, marked with the
+// kForwarded tag bit; messages that beat their own handover are stashed
+// until it commits. All extra messages are counted.
+//
+// The threshold is window-aware (DESIGN.md §6): every role starts at
+// the base (configurable, default 4k). A retiree that received more
+// than k forwarded messages during its incumbency hands its successor
+// twice its threshold (capped at 16x the base); otherwise it hands on
+// half, never below the base. The value rides in kTagTakeOver. The
+// sequential model almost never forwards, so it keeps the paper's 4k.
 #pragma once
 
 #include <cstdint>
@@ -42,8 +49,10 @@ namespace dcnt {
 
 struct TreeServiceParams {
   int k{2};
-  /// Age at which a node retires. 0 selects the default 4k. Use
-  /// std::numeric_limits<int64_t>::max() for the no-retirement ablation.
+  /// Base age at which a node retires (each role adapts its own copy
+  /// to the overlap it sees; see the protocol recap above). 0 selects
+  /// the default 4k. Use std::numeric_limits<int64_t>::max() for the
+  /// no-retirement ablation.
   /// Thresholds <= k+1 are unstable: each retirement ages its k+1
   /// neighbours by one message, so the cascade reproduces itself
   /// (a "retirement storm") and the system never quiesces.
@@ -80,7 +89,9 @@ struct TreeServiceStats {
   RelaxedCounter retirements_total{0};
   std::vector<RelaxedCounter> retirements_by_level;
   /// A pool ran out and wrapped around — never happens for the paper's
-  /// workload with the default threshold (asserted in tests).
+  /// workload (one sequential inc per processor) with the default
+  /// threshold (asserted in tests). Longer or overlapping workloads
+  /// retire a role more often than its pool is long, so there it does.
   RelaxedCounter pool_wraps{0};
   /// Misdirected messages re-sent to a role's successor.
   RelaxedCounter forwarded_messages{0};
@@ -130,7 +141,7 @@ class TreeService : public CounterProtocol {
   // [origin, target_node, serial, op_args...] and Value [value, serial].
   static constexpr std::int32_t kTagInc = 1;       ///< [origin, target_node, op_args...]
   static constexpr std::int32_t kTagValue = 2;     ///< [value]
-  static constexpr std::int32_t kTagTakeOver = 3;  ///< [node, parent_pid, root_state...]; healing root: [0, parent_pid, bseq, J, (origin,serial,value)*J, G, (origin,serial,value,op)*G, root_state...]
+  static constexpr std::int32_t kTagTakeOver = 3;  ///< [node, parent_pid, threshold, root_state...]; healing root: [0, parent_pid, threshold, bseq, J, (origin,serial,value)*J, G, (origin,serial,value,op)*G, root_state...]
   static constexpr std::int32_t kTagChildInfo = 4; ///< [node, child_idx, child_pid]
   static constexpr std::int32_t kTagNewId = 5;     ///< [target_node, retiring_node, new_pid]; target -1 = "you as leaf"
   // Self-healing tags (DESIGN.md §8; never sent with self_healing off).
@@ -138,6 +149,10 @@ class TreeService : public CounterProtocol {
   static constexpr std::int32_t kTagBackupAck = 7; ///< [0, seq]
   static constexpr std::int32_t kTagPromote = 8;   ///< [node, dead_pid]
   static constexpr std::int32_t kTagIncRetry = 9;  ///< local [serial]: origin retry timer
+  /// Tag bit set by an ex-incumbent that forwards a message to its
+  /// successor; every tag comparison masks it off. The holder counts
+  /// marked arrivals into Role::forwarded_in.
+  static constexpr std::int32_t kForwarded = 1 << 8;
 
   // CounterProtocol:
   std::size_t num_processors() const override;
@@ -222,6 +237,10 @@ class TreeService : public CounterProtocol {
     ProcessorId parent_pid{kNoProcessor};  // kNoProcessor for the root
     std::vector<ProcessorId> child_pids;   // inner incumbents or leaf ids
     std::int64_t age{0};
+    /// Age at which this incumbency ends (window-aware; see the recap).
+    std::int64_t threshold{0};
+    /// Forwarded (kForwarded) messages received in this incumbency.
+    std::int64_t forwarded_in{0};
     std::vector<std::int64_t> state;  // root only
     // Self-healing root bookkeeping (empty unless node == 0 and
     // self_healing is on).
@@ -238,6 +257,7 @@ class TreeService : public CounterProtocol {
     bool has_main{false};  // kTagTakeOver arrived
     int children_received{0};
     ProcessorId parent_pid{kNoProcessor};
+    std::int64_t threshold{0};
     std::vector<ProcessorId> child_pids;
     std::vector<std::int64_t> state;
     // Healing root handover blob (node 0 with self_healing on).
@@ -312,7 +332,9 @@ class TreeService : public CounterProtocol {
                                ProcessorId from) const;
 
   TreeLayout layout_;
+  /// Base threshold, and the ceiling the window-aware doubling stops at.
   std::int64_t threshold_;
+  std::int64_t threshold_cap_;
   bool count_handover_in_age_;
   bool self_healing_;
   SimTime inc_retry_timeout_;

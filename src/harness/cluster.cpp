@@ -793,24 +793,13 @@ ClusterResult Controller::run() {
     std::unordered_map<KeyId, std::vector<Value>> by_key;
     for (std::size_t i = 0; i < issued_; ++i) by_key[keys_[i]].push_back(values_[i]);
     out.values_ok = true;
-    for (auto& [key, vals] : by_key) {
-      std::sort(vals.begin(), vals.end());
-      for (std::size_t i = 0; i < vals.size(); ++i) {
-        if (vals[i] != static_cast<Value>(i)) out.values_ok = false;
-      }
+    for (const auto& [key, vals] : by_key) {
+      if (!is_permutation_of_iota(vals)) out.values_ok = false;
     }
     DCNT_CHECK_MSG(out.values_ok,
                    "some key's values are not a permutation of 0..ops_k-1");
   } else {
-    std::vector<Value> sorted = values_;
-    std::sort(sorted.begin(), sorted.end());
-    out.values_ok = true;
-    for (std::size_t i = 0; i < sorted.size(); ++i) {
-      if (sorted[i] != static_cast<Value>(i)) {
-        out.values_ok = false;
-        break;
-      }
-    }
+    out.values_ok = is_permutation_of_iota(values_);
     DCNT_CHECK_MSG(out.values_ok,
                    "cluster values are not a permutation of 0..ops-1");
   }

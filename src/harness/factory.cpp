@@ -61,6 +61,15 @@ CounterKind counter_kind_from_string(const std::string& text) {
   return CounterKind::kTree;
 }
 
+std::vector<std::string> counter_kind_names() {
+  std::vector<std::string> names;
+  for (const CounterKind kind : all_counter_kinds()) {
+    names.push_back(to_string(kind));
+  }
+  names.push_back(to_string(CounterKind::kElastic));
+  return names;
+}
+
 bool supports_concurrency(CounterKind kind) {
   switch (kind) {
     case CounterKind::kQuorumMajority:

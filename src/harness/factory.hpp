@@ -33,7 +33,13 @@ std::vector<CounterKind> all_counter_kinds();
 /// Short identifier ("tree", "central", ...), also accepted by
 /// counter_kind_from_string.
 std::string to_string(CounterKind kind);
+/// Aborts on a name outside counter_kind_names(); command-line input is
+/// checked against that list first (parse_choice_value), so a typo
+/// exits 2 naming the flag instead.
 CounterKind counter_kind_from_string(const std::string& text);
+/// Every name counter_kind_from_string accepts: all_counter_kinds()
+/// plus "elastic".
+std::vector<std::string> counter_kind_names();
 
 /// Does this implementation hand out correct values under *concurrent*
 /// operations? (The quorum counter is sequential-model only; see

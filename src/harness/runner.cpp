@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "concurrent/history.hpp"
 #include "support/check.hpp"
 
 namespace dcnt {
@@ -62,15 +63,7 @@ RunResult run_concurrent(Simulator& sim,
     values.push_back(*result);
   }
   // The values handed out must be exactly 0..m-1 (each exactly once).
-  std::vector<Value> sorted = values;
-  std::sort(sorted.begin(), sorted.end());
-  bool ok = true;
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    if (sorted[i] != static_cast<Value>(i)) {
-      ok = false;
-      break;
-    }
-  }
+  const bool ok = is_permutation_of_iota(values);
   DCNT_CHECK_MSG(ok, "concurrent incs did not hand out distinct 0..m-1");
   return finish(sim, std::move(values), ok);
 }

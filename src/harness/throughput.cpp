@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <numeric>
 #include <unordered_map>
 
 #include "concurrent/elastic_tree.hpp"
@@ -17,14 +16,6 @@
 namespace dcnt {
 
 namespace {
-
-bool is_permutation_of_iota(std::vector<Value> values) {
-  std::sort(values.begin(), values.end());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (values[i] != static_cast<Value>(i)) return false;
-  }
-  return true;
-}
 
 WorkloadOptions make_workload_options(const ThroughputOptions& options) {
   WorkloadOptions wl;

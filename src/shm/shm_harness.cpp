@@ -242,12 +242,7 @@ ThroughputResult run_shm_throughput(ShmKind kind, const ShmOptions& options) {
                  "shm counter final value != warmup + ops");
 
   if (tickets) {
-    std::vector<std::uint64_t> sorted = values;
-    std::sort(sorted.begin(), sorted.end());
-    out.values_ok = true;
-    for (std::size_t i = 0; i < sorted.size(); ++i) {
-      if (sorted[i] != warmup + i) out.values_ok = false;
-    }
+    out.values_ok = is_permutation_of_iota<std::uint64_t>(values, warmup);
     DCNT_CHECK_MSG(out.values_ok,
                    "shm tickets are not a permutation of warmup..warmup+ops-1");
   } else {

@@ -157,12 +157,17 @@ std::int64_t LogHistogram::percentile(double q) const {
   const std::int64_t rank = std::max<std::int64_t>(
       1, static_cast<std::int64_t>(std::ceil(clamped / 100.0 *
                                              static_cast<double>(total))));
+  // A bucket's midpoint can lie past the extreme samples in it; no
+  // percentile may exceed the recorded max or undercut the min.
+  const auto within_extremes = [this](std::int64_t mid) {
+    return std::min(std::max(mid, min()), max());
+  };
   std::int64_t cum = 0;
   for (std::size_t i = 0; i < buckets_.size(); ++i) {
     cum += buckets_[i].load(std::memory_order_relaxed);
-    if (cum >= rank) return bucket_mid(i);
+    if (cum >= rank) return within_extremes(bucket_mid(i));
   }
-  return bucket_mid(top_index_);
+  return within_extremes(bucket_mid(top_index_));
 }
 
 }  // namespace dcnt::traffic

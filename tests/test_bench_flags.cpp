@@ -129,8 +129,8 @@ TEST(BenchFlags, NumericValuesParseExactly) {
 // the flag, like an unknown flag, instead of reading as 0 or dying on
 // an uncaught exception.
 Flags parse_one(const std::string& arg) {
-  static const std::vector<std::string> known = {"ops", "rate", "k_list",
-                                                 "drops"};
+  static const std::vector<std::string> known = {
+      "ops", "rate", "k_list", "drops", "counter", "counters", "key_capacity"};
   Argv args({"bench_x", arg});
   return parse_bench_flags(args.argc(), args.argv(), "b", known);
 }
@@ -189,6 +189,52 @@ TEST(BenchFlagsDeath, UnknownChoiceExitsTwoAndNamesFlag) {
               "invalid value for --placement: 'bogus'");
   EXPECT_EXIT(parse_choice_value("dist", "", {"roundrobin", "zipf"}),
               testing::ExitedWithCode(2), "--dist");
+}
+
+// Counter flags: every name the factory knows parses to its kind, and a
+// comma list checks each item.
+TEST(BenchFlags, CounterNamesParseThrough) {
+  for (const std::string& name : counter_kind_names()) {
+    EXPECT_EQ(to_string(read_counter_kind(parse_one("--counter=" + name),
+                                          "counter", "central")),
+              name);
+  }
+  EXPECT_EQ(read_counter_kind(parse_one("--ops=1"), "counter", "tree"),
+            CounterKind::kTree);
+  EXPECT_EQ(parse_choice_list(parse_one("--counters=tree,elastic"), "counters",
+                              "central", counter_kind_names()),
+            (std::vector<std::string>{"tree", "elastic"}));
+  EXPECT_EQ(parse_choice_list(parse_one("--ops=1"), "counters", "central",
+                              counter_kind_names()),
+            (std::vector<std::string>{"central"}));
+}
+
+// An unknown counter name exits 2 naming the flag instead of aborting
+// inside counter_kind_from_string.
+TEST(BenchFlagsDeath, UnknownCounterExitsTwoAndNamesFlag) {
+  EXPECT_EXIT(read_counter_kind(parse_one("--counter=bogus"), "counter", "tree"),
+              testing::ExitedWithCode(2), "invalid value for --counter: 'bogus'");
+  EXPECT_EXIT(parse_choice_list(parse_one("--counters=tree,bogus"), "counters",
+                                "", counter_kind_names()),
+              testing::ExitedWithCode(2),
+              "invalid value for --counters: 'bogus'");
+}
+
+// A key cap needs a service-evictable counter; on any other the bench
+// exits 2 naming the flag instead of aborting in the key directory.
+TEST(BenchFlags, KeyCapacityAcceptsEvictableCounters) {
+  EXPECT_EQ(read_key_capacity(parse_one("--key_capacity=4"), CounterKind::kCentral),
+            4u);
+  EXPECT_EQ(read_key_capacity(parse_one("--ops=1"), CounterKind::kTree), 0u);
+}
+
+TEST(BenchFlagsDeath, KeyCapacityOnNonEvictableCounterExitsTwo) {
+  EXPECT_EXIT(read_key_capacity(parse_one("--key_capacity=4"), CounterKind::kTree),
+              testing::ExitedWithCode(2),
+              "invalid value for --key_capacity: '4'");
+  EXPECT_EXIT(
+      read_key_capacity(parse_one("--key_capacity=-1"), CounterKind::kCentral),
+      testing::ExitedWithCode(2), "--key_capacity");
 }
 
 Flags parse_shape(const std::vector<std::string>& args) {

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <numeric>
 
 #include "baselines/central.hpp"
 #include "baselines/combining_tree.hpp"
@@ -77,6 +79,130 @@ TEST(Checker, CountsAllViolations) {
   });
   EXPECT_FALSE(report.linearizable);
   EXPECT_EQ(report.violations, 3);  // ops 1, 2 and 3 all undercut op 0
+}
+
+// The three-sort sweep check_linearizable ran before it became a single
+// pass by value, kept as a reference: sort by value to find duplicates,
+// then sweep invocations in time order carrying the largest value among
+// ops that responded strictly earlier. Stable sorts pin down the tie
+// order the documented contract names (history order).
+LinearizabilityReport reference_check(const std::vector<CounterOpRecord>& h) {
+  LinearizabilityReport report;
+  const auto sorted_by = [&](auto key) {
+    std::vector<CounterOpRecord> out = h;
+    std::stable_sort(out.begin(), out.end(),
+                     [&](const CounterOpRecord& a, const CounterOpRecord& b) {
+                       return key(a) < key(b);
+                     });
+    return out;
+  };
+  const auto by_value = sorted_by([](const CounterOpRecord& r) { return r.value; });
+  for (std::size_t i = 1; i < by_value.size(); ++i) {
+    if (by_value[i].value != by_value[i - 1].value) continue;
+    ++report.duplicate_values;
+    ++report.violations;
+    if (report.linearizable) {
+      report.linearizable = false;
+      report.first_a = by_value[i - 1].op;
+      report.first_b = by_value[i].op;
+    }
+  }
+  if (!report.linearizable) return report;
+  const auto by_inv = sorted_by([](const CounterOpRecord& r) { return r.invoked; });
+  const auto by_resp =
+      sorted_by([](const CounterOpRecord& r) { return r.responded; });
+  std::size_t resp_idx = 0;
+  Value max_value = -1;
+  OpId max_op = kNoOp;
+  for (const CounterOpRecord& b : by_inv) {
+    while (resp_idx < by_resp.size() && by_resp[resp_idx].responded < b.invoked) {
+      if (by_resp[resp_idx].value > max_value) {
+        max_value = by_resp[resp_idx].value;
+        max_op = by_resp[resp_idx].op;
+      }
+      ++resp_idx;
+    }
+    if (max_value > b.value) {
+      ++report.violations;
+      if (report.linearizable) {
+        report.linearizable = false;
+        report.first_a = max_op;
+        report.first_b = b.op;
+      }
+    }
+  }
+  return report;
+}
+
+// Random histories in every shape the checker distinguishes: dense runs
+// (counting placement) and sparse values (the sort path), distinct and
+// duplicated values, linearizable assignments and ones with real-time
+// inversions, with coarse clocks so equal timestamps are common.
+TEST(Checker, MatchesTheThreeSortReferenceOnRandomHistories) {
+  Rng rng(2024);
+  int inverted = 0;
+  int duplicated = 0;
+  for (int trial = 0; trial < 6000; ++trial) {
+    const auto m = static_cast<std::size_t>(1 + rng.next_below(
+                                                    trial % 10 == 0 ? 400 : 40));
+    const bool dense = rng.next_below(2) == 0;
+    const SimTime horizon = 1 + static_cast<SimTime>(rng.next_below(4 * m));
+    std::vector<CounterOpRecord> h(m);
+    std::vector<SimTime> point(m);
+    for (std::size_t i = 0; i < m; ++i) {
+      h[i].op = static_cast<OpId>(1000 + 7 * i);
+      h[i].invoked = static_cast<SimTime>(rng.next_below(
+          static_cast<std::uint64_t>(horizon)));
+      h[i].responded =
+          h[i].invoked + static_cast<SimTime>(rng.next_below(8));
+      point[i] = h[i].invoked +
+                 static_cast<SimTime>(rng.next_below(static_cast<std::uint64_t>(
+                     h[i].responded - h[i].invoked + 1)));
+    }
+    // Values by linearization point: a linearizable assignment.
+    std::vector<std::size_t> rank(m);
+    std::iota(rank.begin(), rank.end(), std::size_t{0});
+    std::stable_sort(rank.begin(), rank.end(),
+                     [&](std::size_t a, std::size_t b) { return point[a] < point[b]; });
+    const Value base = static_cast<Value>(rng.next_below(1000));
+    Value sparse = base;
+    for (std::size_t r = 0; r < m; ++r) {
+      sparse += 1 + static_cast<Value>(rng.next_below(1'000'000));
+      h[rank[r]].value = dense ? base + static_cast<Value>(r) : sparse;
+    }
+    // Inversions: swap a few values between random ops.
+    if (rng.next_below(2) == 0) {
+      for (std::uint64_t s = rng.next_below(4); s-- > 0;) {
+        std::swap(h[rng.next_below(m)].value, h[rng.next_below(m)].value);
+      }
+    }
+    // Duplicates: copy a value over another op's.
+    if (rng.next_below(4) == 0) {
+      h[rng.next_below(m)].value = h[rng.next_below(m)].value;
+    }
+    const LinearizabilityReport want = reference_check(h);
+    const LinearizabilityReport got = check_linearizable(h);
+    ASSERT_EQ(got.linearizable, want.linearizable) << "trial " << trial;
+    ASSERT_EQ(got.violations, want.violations) << "trial " << trial;
+    ASSERT_EQ(got.duplicate_values, want.duplicate_values) << "trial " << trial;
+    ASSERT_EQ(got.first_a, want.first_a) << "trial " << trial;
+    ASSERT_EQ(got.first_b, want.first_b) << "trial " << trial;
+    inverted += want.duplicate_values == 0 && !want.linearizable ? 1 : 0;
+    duplicated += want.duplicate_values > 0 ? 1 : 0;
+  }
+  // The generator must actually reach every branch.
+  EXPECT_GT(inverted, 500);
+  EXPECT_GT(duplicated, 500);
+}
+
+TEST(Checker, PermutationOfIotaIsExact) {
+  EXPECT_TRUE(is_permutation_of_iota(std::vector<Value>{}));
+  EXPECT_TRUE(is_permutation_of_iota(std::vector<Value>{2, 0, 1}));
+  EXPECT_FALSE(is_permutation_of_iota(std::vector<Value>{0, 2}));
+  EXPECT_FALSE(is_permutation_of_iota(std::vector<Value>{1, 1}));
+  EXPECT_FALSE(is_permutation_of_iota(std::vector<Value>{-1, 0}));
+  EXPECT_TRUE(is_permutation_of_iota<std::uint64_t>({6, 5}, 5));
+  EXPECT_FALSE(is_permutation_of_iota<std::uint64_t>({4, 5}, 5));
 }
 
 // Staggered driver: operations are invoked while earlier ones are

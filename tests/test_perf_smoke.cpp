@@ -48,7 +48,8 @@ TEST(PerfSmoke, ThroughputCentralMatchesCheckedInBaseline) {
 }
 
 // The tree's totals vary with delivery interleavings, but stay inside a
-// band around the k=3, T=12 baseline; the structural fields are exact.
+// band around the k=3, base T=12 baseline; the structural fields are
+// exact.
 TEST(PerfSmoke, ThroughputTreeStaysInTheBaselineBand) {
   ThroughputOptions options;
   options.workers = 4;
@@ -61,10 +62,12 @@ TEST(PerfSmoke, ThroughputTreeStaysInTheBaselineBand) {
       run_throughput(make_counter(CounterKind::kTree, 81), options);
   ASSERT_TRUE(res.values_ok);
   EXPECT_EQ(res.n, 81u);
-  // Roughly 13 messages per op in the baseline; allow the interleaving
-  // band observed across seeds and worker counts (~±10%).
-  EXPECT_GT(res.total_messages, 7'000);
-  EXPECT_LT(res.total_messages, 10'500);
+  // Roughly 7 messages per op with window-aware retirement: 4,255-6,488
+  // measured across seeds 1-40 and 1, 2, 4 and 8 workers (4,286-4,907
+  // at 4). The fixed-4k rule measured 6,398-8,728 (8,049-8,728 at 4
+  // workers), so a return of the forwarding chains fails the upper edge.
+  EXPECT_GT(res.total_messages, 3'500);
+  EXPECT_LT(res.total_messages, 7'000);
   EXPECT_GT(res.max_load, 0);
 }
 

@@ -187,6 +187,20 @@ TEST(LogHistogram, OverflowSaturatesIntoTopBucket) {
   EXPECT_EQ(same.count(), 5);
 }
 
+// A bucket midpoint past the extremes is clamped: no percentile reads
+// above the recorded max (or below the min), so p99 <= max always holds.
+TEST(LogHistogram, PercentilesStayWithinTheRecordedExtremes) {
+  LogHistogram hist;
+  const std::int64_t v = 3'006'450;  // low in its (wide) bucket
+  ASSERT_GT(LogHistogram::bucket_mid(LogHistogram::bucket_index(v)), v);
+  hist.record(v);
+  EXPECT_EQ(hist.percentile(99), v);
+  EXPECT_EQ(hist.percentile(0), v);
+  hist.record(v - 1000);
+  EXPECT_LE(hist.percentile(99), hist.max());
+  EXPECT_GE(hist.percentile(1), hist.min());
+}
+
 // Negative recordings clamp to zero (a completion racing a clock step
 // must not underflow the first bucket).
 TEST(LogHistogram, NegativeValuesClampToZero) {

@@ -251,5 +251,47 @@ TEST(TreeCounter, MultipleIncsPerProcessorAlsoWork) {
   EXPECT_EQ(tree_of(sim).value(), 200);
 }
 
+// Window-aware retirement (DESIGN.md §6). n = 81, k = 3, 16n ops
+// issued round-robin in batches of W, each batch run to quiescence under
+// uniform(1, 16) delays. With the paper's fixed 4k age, a 64-op window
+// spends 14.2 forwards per op chasing retired roles (23.8 msgs/op,
+// max_load 1166); roles that see more than k forwarded arrivals now
+// hand their successor a doubled age, so the forwards all but vanish.
+// At W = 1 almost nothing is forwarded, so every role keeps the base
+// 4k and the run is message-for-message the fixed-4k run.
+RunResult run_round_robin_batches(Simulator& sim, std::size_t window) {
+  std::vector<ProcessorId> order;
+  for (int round = 0; round < 16; ++round) {
+    const auto lap = schedule_sequential(81);
+    order.insert(order.end(), lap.begin(), lap.end());
+  }
+  return run_concurrent(sim, make_batches(order, window));
+}
+
+TEST(TreeCounter, WindowAwareRetirementKeepsOverlapNearOrderK) {
+  TreeCounterParams params;
+  params.k = 3;
+  SimConfig cfg;
+  cfg.seed = 7;
+  cfg.delay = DelayModel::uniform(1, 16);
+  const double ops = 16.0 * 81.0;
+
+  Simulator wide = make_tree_sim(params, cfg);
+  const RunResult w64 = run_round_robin_batches(wide, 64);
+  EXPECT_TRUE(w64.values_ok);
+  EXPECT_LE(static_cast<double>(tree_of(wide).stats().forwarded_messages) / ops,
+            2.0);
+  EXPECT_LE(static_cast<double>(w64.total_messages) / ops, 8.0);
+
+  // The fixed-4k baseline at W = 1 (measured with the threshold pinned
+  // at 4k): 12,624 messages, max_load 381.
+  Simulator narrow = make_tree_sim(params, cfg);
+  const RunResult w1 = run_round_robin_batches(narrow, 1);
+  EXPECT_TRUE(w1.values_ok);
+  EXPECT_EQ(w1.total_messages, 12'624);
+  EXPECT_EQ(w1.max_load, 381);
+  tree_of(narrow).deep_check();
+}
+
 }  // namespace
 }  // namespace dcnt

@@ -159,7 +159,8 @@ TEST(TreePriorityQueue, HandoverWordsGrowWithQueueUnlikeCounter) {
     cnt_sim.run_until_quiescent();
   }
   const auto& cnt = dynamic_cast<const TreeCounter&>(cnt_sim.counter());
-  EXPECT_LE(cnt.stats().max_handover_words, 4);  // node, parent, value (+tag)
+  // node, parent, threshold, value (+tag): still O(1).
+  EXPECT_LE(cnt.stats().max_handover_words, 5);
 
   // The same divergence in the runtime's own accounting: the largest
   // single message the PQ run ever sent is an order of magnitude beyond
